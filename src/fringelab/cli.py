@@ -13,9 +13,7 @@ radians. Numbers are written with 12 significant digits in both output
 formats, so the CSV and JSON emissions of one run parse to identical
 values. Exit status is 0 on success, 2 for usage problems, and 3 when a
 physics constraint is violated (odd N for an HB state, outcome photon
-totals that do not match N, and the like). The environment variable
-FRINGELAB_THREADS caps how many worker threads phase scans may use;
-output ordering never depends on it.
+totals that do not match N, and the like).
 """
 
 from __future__ import annotations
@@ -23,10 +21,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -118,39 +115,6 @@ def _emit_table(args, columns, rows, meta=None) -> None:
             payload["meta"] = {k: _jsonable(v) for k, v in meta.items()}
         text = json.dumps(payload, indent=2) + "\n"
     _write_text(args.out, text)
-
-
-def thread_cap() -> int:
-    """Worker-thread budget from FRINGELAB_THREADS (default 1)."""
-    raw = os.environ.get("FRINGELAB_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(
-            f"FRINGELAB_THREADS must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise UsageError(
-            f"FRINGELAB_THREADS must be a positive integer, got {raw!r}"
-        )
-    return value
-
-
-def _scan(fun, xs: np.ndarray) -> np.ndarray:
-    """Map a scalar function over a grid in deterministic grid order,
-    chunked across at most thread_cap() workers."""
-    threads = thread_cap()
-    if threads == 1 or len(xs) < 2 * threads:
-        return np.array([fun(x) for x in xs])
-    chunks = np.array_split(np.arange(len(xs)), threads)
-    out = np.empty(len(xs))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(lambda idx: [fun(xs[i]) for i in idx], chunks)
-        for idx, values in zip(chunks, results):
-            out[idx] = values
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +398,7 @@ def cmd_fringe(args) -> int:
         args.model, args.state, args.n, outcome,
         args.visibility, args.peak, args.amplitude,
     )
-    probs = _scan(lambda deg: float(apply_model(model, math.radians(deg))), grid_deg)
+    probs = apply_model(model, np.radians(grid_deg))
     rows = [[float(deg), float(p)] for deg, p in zip(grid_deg, probs)]
     _emit_table(args, ["phi_deg", "probability"], rows)
     return 0
@@ -442,26 +406,18 @@ def cmd_fringe(args) -> int:
 
 def cmd_fisher(args) -> int:
     grid_deg = _phase_grid(args.phi_start, args.phi_end, args.phi_step)
-    band_fun = None
+    band = None
     if args.mode == "full":
         if args.band:
             raise UsageError("--band applies to single-fringe models only")
-        state = build_state(args.state, args.n)
-
-        def fun(rad: float) -> float:
-            return full_fisher(state, rad)
-
+        fun = partial(full_fisher, build_state(args.state, args.n))
     elif args.model == "ideal":
         if args.band:
             raise UsageError("--band needs --model affine or noon-cosine")
         if args.outcome is None:
             raise UsageError("--outcome is required for --mode single")
         outcome = _parse_outcome(args.outcome)
-        state = build_state(args.state, args.n)
-
-        def fun(rad: float) -> float:
-            return single_fringe_fisher(state, outcome, rad)
-
+        fun = partial(single_fringe_fisher, build_state(args.state, args.n), outcome)
     else:
         if args.outcome is None:
             raise UsageError("--outcome is required for --mode single")
@@ -470,17 +426,12 @@ def cmd_fisher(args) -> int:
             args.model, args.state, args.n, outcome,
             args.visibility, args.peak, args.amplitude,
         )
-
-        def fun(rad: float) -> float:
-            return single_fringe_fisher_model(model, rad)
-
+        fun = partial(single_fringe_fisher_model, model)
         if args.band:
             cov = _visibility_cov(model, args.visibility_sigma)
+            band = model_fisher_sigma(model, cov, np.radians(grid_deg))
 
-            def band_fun(rad: float) -> float:
-                return model_fisher_sigma(model, cov, rad)
-
-    values = _scan(fun, np.radians(grid_deg))
+    values = fun(np.radians(grid_deg))
     lo_rad = math.radians(args.phi_start)
     hi_rad = math.radians(args.phi_end)
     peak_phi, peak_value = find_peak(fun, lo_rad, hi_rad)
@@ -497,10 +448,9 @@ def cmd_fisher(args) -> int:
     )
     columns = ["phi_deg", "fisher"]
     rows = [[float(deg), float(f)] for deg, f in zip(grid_deg, values)]
-    if band_fun is not None:
-        sigmas = _scan(band_fun, np.radians(grid_deg))
+    if band is not None:
         columns.append("sigma")
-        for row, sigma in zip(rows, sigmas):
+        for row, sigma in zip(rows, band):
             row.append(float(sigma))
     _emit_table(args, columns, rows, meta)
     return 0

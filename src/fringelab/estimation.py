@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .detection import DetectorArrayConfig, click_distribution
 from .fock import OutcomePattern, PhysicsError, TwoModeState
@@ -23,9 +22,11 @@ from .fringes import (
     CountRecord,
     FringeModel,
     apply_model,
-    fringe_derivatives,
     fringe_probabilities,
-    model_derivative,
+    output_amplitudes,
+    _P_TOL,
+    _model_fringe,
+    _probability_and_slope,
 )
 from .states import build_state
 
@@ -58,32 +59,36 @@ class ExperimentPlan:
 
 def simulate_counts(plan: ExperimentPlan) -> list[CountRecord]:
     """Simulate one record per planned phase, deterministically per seed."""
-    state = None
-    if plan.model is None:
+    phases = np.array(plan.phases, dtype=float)
+    if plan.model is not None:
+        probs = np.clip(apply_model(plan.model, phases), 0.0, 1.0)
+    else:
         state = build_state(plan.state_kind, plan.total_photons)
+        probs = fringe_probabilities(state, phases)
     seeds = np.random.SeedSequence(plan.seed).spawn(len(plan.phases))
     records = []
-    for phi, child in zip(plan.phases, seeds):
+    for phi, p, child in zip(plan.phases, probs, seeds):
         rng = np.random.default_rng(child)
         if plan.model is not None:
-            p = float(apply_model(plan.model, phi))
-            hit = int(rng.binomial(plan.shots, min(max(p, 0.0), 1.0)))
+            hit = int(rng.binomial(plan.shots, p))
             counts = {plan.model.outcome: hit} if hit else {}
         else:
-            counts = _draw_patterns(rng, state, phi, plan.shots, plan.detectors)
+            counts = _draw_patterns(rng, p, plan.shots, plan.detectors)
         records.append(CountRecord(phi=float(phi), shots=plan.shots, outcome_counts=counts))
     return records
 
 
 def _draw_patterns(
     rng: np.random.Generator,
-    state: TwoModeState,
-    phi: float,
+    probs: np.ndarray,
     shots: int,
     detectors: DetectorArrayConfig | None,
 ) -> dict[OutcomePattern, int]:
-    n = state.total_photons
-    probs = fringe_probabilities(state, phi)
+    """Draw ``shots`` events from the N+1 outcome probabilities ``probs``,
+    through the detector array when one is given. Click patterns below the
+    roundoff floor _P_TOL are not drawn from, so that the categories of
+    the draw do not depend on roundoff."""
+    n = len(probs) - 1
     if detectors is None:
         patterns = [OutcomePattern(k, n - k) for k in range(n + 1)]
         pvals = np.clip(probs, 0.0, None)
@@ -92,7 +97,7 @@ def _draw_patterns(
     photon_probs = {OutcomePattern(k, n - k): float(probs[k]) for k in range(n + 1)}
     clicks = click_distribution(photon_probs, detectors)
     kept = sorted(
-        (key, p) for key, p in clicks.items() if key[0] + key[1] == n and p > 0.0
+        (key, p) for key, p in clicks.items() if key[0] + key[1] == n and p > _P_TOL
     )
     pvals = np.array([p for _, p in kept] + [0.0])
     pvals[-1] = max(0.0, 1.0 - pvals.sum())  # lost or unresolved events
@@ -230,6 +235,8 @@ def mle_phase(
     if not records:
         raise PhysicsError("no count records")
 
+    from scipy.optimize import brentq, minimize_scalar
+
     if isinstance(model, TwoModeState):
         pooled: dict[OutcomePattern, float] = {}
         for r in records:
@@ -241,35 +248,30 @@ def mle_phase(
         rows = [pat.out_port_1 for pat in pats]
         weights = np.array([pooled[p] for p in pats])
 
-        def loglik(phi: float) -> float:
-            probs = fringe_probabilities(model, phi)
-            p = np.clip(probs[rows], 1e-300, 1.0)
-            return float(weights @ np.log(p))
-
-        def score(phi: float) -> float:
-            p = np.clip(fringe_probabilities(model, phi)[rows], 1e-300, 1.0)
-            dp = fringe_derivatives(model, phi)[rows]
-            return float(weights @ (dp / p))
+        def loglik_and_score(phi):
+            amp, amp_h = output_amplitudes(model, phi)
+            p, dp = _probability_and_slope(amp[..., rows], amp_h[..., rows])
+            p = np.clip(p, 1e-300, 1.0)
+            return np.log(p) @ weights, (dp / p) @ weights
 
     else:
         hits = sum(float(r.outcome_counts.get(model.outcome, 0.0)) for r in records)
-        total = sum(r.shots for r in records)
+        misses = sum(r.shots for r in records) - hits
 
-        def loglik(phi: float) -> float:
-            p = min(max(float(apply_model(model, phi)), 1e-300), 1.0 - 1e-16)
-            return hits * math.log(p) + (total - hits) * math.log1p(-p)
+        def loglik_and_score(phi):
+            p, dp = _model_fringe(model, phi)
+            p = np.clip(p, 1e-300, 1.0 - 1e-16)
+            loglik = hits * np.log(p) + misses * np.log1p(-p)
+            return loglik, (hits / p - misses / (1.0 - p)) * dp
 
-        def score(phi: float) -> float:
-            p = min(max(float(apply_model(model, phi)), 1e-300), 1.0 - 1e-16)
-            dp = float(model_derivative(model, phi))
-            return (hits / p - (total - hits) / (1.0 - p)) * dp
+    def loglik(phi: float) -> float:
+        return float(loglik_and_score(phi)[0])
+
+    def score(phi: float) -> float:
+        return float(loglik_and_score(phi)[1])
 
     grid = np.linspace(lo, hi, 241)
-    if isinstance(model, TwoModeState):
-        values = np.array([loglik(x) for x in grid])
-    else:
-        p_grid = np.clip(apply_model(model, grid), 1e-300, 1.0 - 1e-16)
-        values = hits * np.log(p_grid) + (total - hits) * np.log1p(-p_grid)
+    values = loglik_and_score(grid)[0]
     i = int(np.argmax(values))
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     res = minimize_scalar(
@@ -281,11 +283,13 @@ def mle_phase(
 
     # The log-likelihood magnitude limits how finely its flat maximum can
     # be resolved; a root of the analytic score recovers the lost digits.
+    # The log-likelihood is a sum of same-sign terms, so it is good only to
+    # a few units in its last place: within that, the root is kept.
     sa, sb = score(a), score(b)
     if sa > 0.0 > sb:
         root = float(brentq(score, a, b, xtol=1e-14))
         root_ll = loglik(root)
-        if root_ll >= best_ll:
+        if root_ll >= best_ll - 16.0 * np.spacing(abs(best_ll)):
             phi_hat, best_ll = root, root_ll
 
     span = hi - lo

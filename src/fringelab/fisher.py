@@ -2,11 +2,18 @@
 
 full_fisher sums (dp/dphi)^2 / p over every number-resolved outcome;
 single_fringe_fisher keeps one fringe and lumps the rest into its
-complement. Terms where the probability and its derivative vanish
-together are removable singularities and contribute zero: a term is
-dropped only when p < 1e-12 AND |dp/dphi| < 1e-9, otherwise it is
+complement. A term whose probability and derivative vanish together
+(p < 1e-26 AND |dp/dphi| < 1e-13, the roundoff scale of an exact zero)
+is a removable singularity. In the full sum it is replaced by its limit
+4 |<m|B h U(phi)|psi>|^2: at an exact zero of the amplitude A(phi) the
+probability grows as |A_h|^2 dphi^2 and its slope as 2 |A_h|^2 dphi, so
+the full-counting value is continuous through the dark points. The
+single-fringe value there is zero by convention. Every other term is
 evaluated as written (near a dark fringe it is the dominant
 contribution).
+
+Every function that takes a phase accepts a scalar (and returns a
+scalar) or an array of phases (and returns an array of that shape).
 
 The per-outcome ceiling is the second moment of the photon-number
 difference carried by the back-propagated detection ket,
@@ -31,34 +38,23 @@ from .fock import (
 )
 from .fringes import (
     FringeModel,
-    apply_model,
-    fringe_derivatives,
-    fringe_probabilities,
-    model_derivative,
-    _amp_and_grad,
+    ideal_model,
+    output_amplitudes,
+    _P_TOL,
+    _like_phi,
+    _model_fringe,
     _outcome_index,
+    _probability_and_slope,
 )
 
-# Removable-singularity cutoffs. At an exact bright or dark point the
-# computed p and dp are pure roundoff (|amplitude| of order eps, so p of
-# order eps^2 ~ 1e-30 and dp of order eps ~ 1e-15 for unit-norm states)
-# and the 0/0 term is dropped as zero. The thresholds sit just above
-# that roundoff scale: any larger cutoff discards genuine information
-# near a fringe extremum (a term with p ~ 1e-13 can still contribute
-# ~1e-6 to the full-counting sum, which must stay exact to 1e-8).
-_P_TOL = 1e-26
+# Removable-singularity cutoff on the derivative, paired with the
+# probability floor _P_TOL. At an exact bright or dark point the computed
+# dp is pure roundoff, of order eps ~ 1e-15 for unit-norm states. The
+# threshold sits just above that scale: any larger cutoff would treat
+# genuine information near a fringe extremum as a singularity (a term with
+# p ~ 1e-13 can still contribute ~1e-6 to the full-counting sum, which
+# must stay exact to 1e-8).
 _DP_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class FisherProfile:
-    """Fisher information sampled over a phase grid, with an optional
-    1-sigma band propagated from fit-parameter uncertainty."""
-
-    phis: np.ndarray
-    values: np.ndarray
-    band: np.ndarray | None = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,8 @@ class OptimalityReport:
            <= output_bound  = <m|(n1-n2)^2|m>
 
     The first step is an equality for real-amplitude superpositions; the
-    second closes as p -> 1. Tightness flags compare at 1e-9.
+    second closes as p -> 1. Tightness flags compare at 1e-9. For an array
+    of phases every field but ``output_bound`` is an array of that shape.
     """
 
     fisher: float
@@ -79,23 +76,18 @@ class OptimalityReport:
     variance_tight: bool
 
 
-def _term(p: float, dp: float) -> float:
-    if p < _P_TOL and abs(dp) < _DP_TOL:
-        return 0.0
-    return dp * dp / p
-
-
-def full_fisher(state: TwoModeState, phi: float) -> float:
+def full_fisher(state: TwoModeState, phi):
     """Fisher information of the full photon-counting distribution."""
-    p = fringe_probabilities(state, phi)
-    dp = fringe_derivatives(state, phi)
-    keep = ~((p < _P_TOL) & (np.abs(dp) < _DP_TOL))
-    return float(np.sum(dp[keep] ** 2 / p[keep]))
+    amp, amp_h = output_amplitudes(state, phi)
+    p, dp = _probability_and_slope(amp, amp_h)
+    singular = (p < _P_TOL) & (np.abs(dp) < _DP_TOL)
+    terms = np.where(
+        singular, 4.0 * np.abs(amp_h) ** 2, dp * dp / np.where(singular, 1.0, p)
+    )
+    return _like_phi(terms.sum(axis=-1), phi)
 
 
-def single_fringe_fisher(
-    state: TwoModeState, outcome: OutcomePattern, phi: float
-) -> float:
+def single_fringe_fisher(state: TwoModeState, outcome: OutcomePattern, phi):
     """Fisher information of the binary outcome/not-outcome measurement,
     (dp/dphi)^2 / (p (1 - p)); zero at removable singularities.
 
@@ -104,80 +96,72 @@ def single_fringe_fisher(
     ulps of 1 (the bright-fringe points where naive subtraction would
     cancel catastrophically).
     """
+    p, rest, dp, _ = _one_fringe(state, outcome, phi)
+    return _like_phi(_binary_fisher(p, rest, dp), phi)
+
+
+def _one_fringe(state: TwoModeState, outcome: OutcomePattern, phi):
+    """p, 1 - p summed over the other outcomes, dp/dphi and A_h of one
+    outcome, from one kernel call."""
     row = _outcome_index(state, outcome)
-    probs = fringe_probabilities(state, phi)
-    p = float(probs[row])
-    rest = float(np.delete(probs, row).sum())
-    dp = float(fringe_derivatives(state, phi)[row])
-    return _binary_fisher_split(p, rest, dp)
+    amp, amp_h = output_amplitudes(state, phi)
+    rest = np.delete(np.abs(amp) ** 2, row, axis=-1).sum(axis=-1)
+    p, dp = _probability_and_slope(amp[..., row], amp_h[..., row])
+    return p, rest, dp, amp_h[..., row]
 
 
-def _binary_fisher(p: float, dp: float) -> float:
-    return _binary_fisher_split(p, 1.0 - p, dp)
-
-
-def _binary_fisher_split(p: float, rest: float, dp: float) -> float:
-    """Binary Fisher term with the complement probability passed
-    separately so callers can supply it without cancellation."""
-    if abs(dp) < _DP_TOL and (p < _P_TOL or rest < _P_TOL):
-        return 0.0
+def _binary_fisher(p, rest, dp):
+    """Binary Fisher term dp^2 / (p rest), with the complement probability
+    passed separately so callers can supply it without cancellation."""
     denom = p * rest
-    if denom <= 0.0:
-        return 0.0 if abs(dp) < _DP_TOL else math.inf
-    return dp * dp / denom
+    vanishing = (p < _P_TOL) | (rest < _P_TOL) | (denom <= 0.0)
+    removable = (np.abs(dp) < _DP_TOL) & vanishing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(denom > 0.0, dp * dp / denom, np.inf)
+    return np.where(removable, 0.0, value)
 
 
-def single_fringe_fisher_model(model: FringeModel, phi: float) -> float:
+def single_fringe_fisher_model(model: FringeModel, phi):
     """Single-fringe Fisher information of a fringe model."""
-    p = float(apply_model(model, float(phi)))
-    dp = float(model_derivative(model, float(phi)))
-    return _binary_fisher(p, dp)
+    p, dp = _model_fringe(model, phi)
+    return _like_phi(_binary_fisher(p, 1.0 - p, dp), phi)
 
 
-def model_fisher_sigma(model: FringeModel, cov: np.ndarray, phi: float) -> float:
+def model_fisher_sigma(model: FringeModel, cov: np.ndarray, phi):
     """1-sigma half-width of the model Fisher value, first-order in the
-    parameter covariance (affine (a, b) or noon-cosine (q, V))."""
-    base = np.array(
-        [model.amplitude, model.offset]
-        if model.kind == "affine"
-        else [model.amplitude, model.visibility]
-    )
-    grad = np.empty(2)
-    for i in range(2):
-        step = 1e-6 * max(1.0, abs(base[i]))
-        lo, hi = base.copy(), base.copy()
-        lo[i] -= step
-        hi[i] += step
-        grad[i] = (
-            single_fringe_fisher_model(_with_params(model, hi), phi)
-            - single_fringe_fisher_model(_with_params(model, lo), phi)
-        ) / (2.0 * step)
-    return float(np.sqrt(max(grad @ np.asarray(cov) @ grad, 0.0)))
+    parameter covariance (affine (a, b) or noon-cosine (q, V)).
 
-
-def _with_params(model: FringeModel, params: np.ndarray) -> FringeModel:
+    The gradient is analytic: F = dp^2 / (p (1 - p)) depends on the
+    parameters only through p and dp, whose parameter derivatives are
+    (p0, 1) and (dp0, 0) for the affine family p = a p0 + b, and
+    (1 + V cos N phi, q cos N phi) and (-V N sin N phi, -q N sin N phi)
+    for the noon-cosine family.
+    """
+    phis = np.asarray(phi, dtype=float)
     if model.kind == "affine":
-        a, b = float(params[0]), float(params[1])
-        denom = a + 2.0 * b
-        vis = a / denom if denom != 0.0 else 0.0
-        return FringeModel(
-            "affine", model.state_kind, model.total_photons, model.outcome,
-            a, b, min(max(vis, 0.0), 1.0),
-        )
-    return FringeModel(
-        "noon-cosine", model.state_kind, model.total_photons, model.outcome,
-        float(params[0]), 0.0, float(params[1]),
+        ideal = ideal_model(model.state_kind, model.total_photons, model.outcome)
+        p0, dp0 = _model_fringe(ideal, phis)
+        p, dp = model.amplitude * p0 + model.offset, model.amplitude * dp0
+        grad_p = np.stack([p0, np.ones_like(p0)])
+        grad_dp = np.stack([dp0, np.zeros_like(dp0)])
+    else:
+        p, dp = _model_fringe(model, phis)
+        n, q, vis = model.total_photons, model.amplitude, model.visibility
+        cos, sin = np.cos(n * phis), np.sin(n * phis)
+        grad_p = np.stack([1.0 + vis * cos, q * cos])
+        grad_dp = np.stack([-vis * n * sin, -q * n * sin])
+    # Where F is zero it sits at its minimum over the parameters (dp = 0,
+    # or a removable singularity held at zero), so its gradient is zero.
+    fisher = _binary_fisher(p, 1.0 - p, dp)
+    informative = fisher > 0.0
+    denom = np.where(informative, p * (1.0 - p), 1.0)
+    grad = np.where(
+        informative,
+        (2.0 * dp * grad_dp - fisher * (1.0 - 2.0 * p) * grad_p) / denom,
+        0.0,
     )
-
-
-def fisher_profile(
-    fun, phis, band_fun=None, label: str = ""
-) -> FisherProfile:
-    """Sample a Fisher function (and optional band) over a phase grid."""
-    phis = np.asarray(phis, dtype=float)
-    values = np.array([fun(x) for x in phis])
-    band = None if band_fun is None else np.array([band_fun(x) for x in phis])
-    return FisherProfile(phis, values, band, label)
+    var = np.einsum("i...,ij,j...->...", grad, np.asarray(cov, dtype=float), grad)
+    return _like_phi(np.sqrt(np.maximum(var, 0.0)), phi)
 
 
 def output_uncertainty_bound(outcome: OutcomePattern) -> float:
@@ -192,32 +176,32 @@ def output_uncertainty_bound(outcome: OutcomePattern) -> float:
 
 
 def optimality_certificate(
-    state: TwoModeState, outcome: OutcomePattern, phi: float
+    state: TwoModeState, outcome: OutcomePattern, phi
 ) -> OptimalityReport:
     """Evaluate the fringe Fisher information against its two bounds."""
-    row = _outcome_index(state, outcome)
-    amp, amp_h = _amp_and_grad(state, row, np.atleast_1d(float(phi)))
-    probs = fringe_probabilities(state, phi)
-    p = float(probs[row])
-    rest = float(np.delete(probs, row).sum())
-    dp = float(2.0 * np.imag(np.conj(amp[0]) * amp_h[0]))
-    fisher = _binary_fisher_split(p, rest, dp)
-    overlap = 4.0 * float(np.abs(amp_h[0]) ** 2)
-    overlap_bound = overlap / rest if rest > 1e-15 else math.inf
+    p, rest, dp, amp_h = _one_fringe(state, outcome, phi)
+    fisher = _binary_fisher(p, rest, dp)
+    resolved = rest > 1e-15
+    overlap = 4.0 * np.abs(amp_h) ** 2
+    overlap_bound = np.where(resolved, overlap / np.where(resolved, rest, 1.0), np.inf)
     output_bound = output_uncertainty_bound(outcome)
     return OptimalityReport(
-        fisher=fisher,
-        overlap_bound=overlap_bound,
+        fisher=_like_phi(fisher, phi),
+        overlap_bound=_like_phi(overlap_bound, phi),
         output_bound=output_bound,
-        gradient_tight=_close(fisher, overlap_bound),
-        variance_tight=_close(overlap_bound, output_bound),
+        gradient_tight=_close(fisher, overlap_bound, phi),
+        variance_tight=_close(overlap_bound, output_bound, phi),
     )
 
 
-def _close(x: float, y: float) -> bool:
-    if math.isinf(x) or math.isinf(y):
-        return False
-    return math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9)
+def _close(x, y, phi):
+    """math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-9) elementwise, false
+    at infinity; a bool for a scalar phase."""
+    x, y = np.asarray(x), np.asarray(y)
+    with np.errstate(invalid="ignore"):
+        tol = np.maximum(1e-9 * np.maximum(np.abs(x), np.abs(y)), 1e-9)
+        close = np.isfinite(x) & np.isfinite(y) & (np.abs(x - y) <= tol)
+    return bool(close) if np.ndim(phi) == 0 else close
 
 
 def hb_limit(total_photons: int) -> float:

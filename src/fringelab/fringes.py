@@ -2,9 +2,12 @@
 models with reduced visibility, and weighted least-squares fringe fits.
 
 A fringe is the probability of one number-resolved outcome as a function
-of the interferometer phase. Probabilities are evaluated exactly from the
-state; the analytic derivative comes from the phase generator, so no
-finite differencing is involved anywhere in the library.
+of the interferometer phase. Every probability and derivative in the
+library comes from one kernel, :func:`output_amplitudes`, which evaluates
+the output amplitudes of all outcomes over a whole phase grid at once.
+Probabilities are exact; derivatives come from the phase generator. The
+one finite difference left in the library is the log-likelihood
+curvature behind the standard error of ``estimation.mle_phase``.
 """
 
 from __future__ import annotations
@@ -123,52 +126,66 @@ def _outcome_index(state: TwoModeState, outcome: OutcomePattern) -> int:
     return outcome.out_port_1
 
 
-def _amp_and_grad(state: TwoModeState, row: int, phis: np.ndarray):
-    """Output amplitude of one detection pattern and its generator image.
+#: Roundoff floor of a computed outcome probability. Amplitudes carry an
+#: absolute error near machine epsilon, so an outcome that is exactly dark
+#: comes out with p of order eps^2 ~ 1e-30 rather than 0; anything below
+#: this floor is zero to working precision.
+_P_TOL = 1e-26
 
-    Returns (A, A_h) over the phase array, where A(phi) = <m|B U(phi)|psi>
-    and A_h(phi) = <m|B h U(phi)|psi>; dp/dphi = 2 Im[conj(A) A_h].
+
+def _like_phi(value, phi):
+    """``value`` as a float when ``phi`` is a scalar, else as an array."""
+    return float(value) if np.ndim(phi) == 0 else value
+
+
+def output_amplitudes(state: TwoModeState, phi):
+    """Output amplitudes of every outcome at every phase (radians).
+
+    Returns (A, A_h) with A[..., m] = <m|B U(phi)|psi> and
+    A_h[..., m] = <m|B h U(phi)|psi>, each of shape np.shape(phi) + (N+1,),
+    where U(phi) = exp(-i phi h) and h = (n1 - n2)/2. The probability of
+    outcome m is |A|^2 and its phase derivative is 2 Im[conj(A) A_h].
     """
     n = state.total_photons
     h = 0.5 * number_difference(n)
-    w = beam_splitter_matrix(n)[row] * state.amplitudes
-    ph = np.exp(-1j * np.outer(phis, h))
-    return ph @ w, ph @ (h * w)
+    phis = np.asarray(phi, dtype=float)
+    # One column per phase, for psi and for h psi. Viewed as floats, each
+    # complex column is a real and an imaginary column, so the real
+    # splitter multiplies them in one real product, never cast to complex.
+    psi = state.amplitudes[:, None] * np.exp(-1j * h[:, None] * phis.ravel())
+    cols = np.concatenate([psi, h[:, None] * psi], axis=1)
+    out = (beam_splitter_matrix(n) @ cols.view(float)).view(complex).T
+    shape = phis.shape + (n + 1,)
+    return out[: phis.size].reshape(shape), out[phis.size :].reshape(shape)
 
 
-def fringe_probability(state: TwoModeState, outcome: OutcomePattern, phi: float) -> float:
+def _probability_and_slope(amp, amp_h):
+    """Outcome probability |A|^2 and its phase derivative 2 Im[conj(A) A_h]."""
+    return np.abs(amp) ** 2, 2.0 * np.imag(np.conj(amp) * amp_h)
+
+
+def fringe_probability(state: TwoModeState, outcome: OutcomePattern, phi):
     """Probability of detecting ``outcome`` after phase ``phi`` (radians)
     and the recombining beam splitter."""
     row = _outcome_index(state, outcome)
-    amp, _ = _amp_and_grad(state, row, np.atleast_1d(float(phi)))
-    return float(np.abs(amp[0]) ** 2)
+    return _like_phi(fringe_probabilities(state, phi)[..., row], phi)
 
 
-def fringe_derivative(state: TwoModeState, outcome: OutcomePattern, phi: float) -> float:
+def fringe_derivative(state: TwoModeState, outcome: OutcomePattern, phi):
     """Analytic dp/dphi of the outcome fringe, via the phase generator."""
     row = _outcome_index(state, outcome)
-    amp, amp_h = _amp_and_grad(state, row, np.atleast_1d(float(phi)))
-    return float(2.0 * np.imag(np.conj(amp[0]) * amp_h[0]))
+    return _like_phi(fringe_derivatives(state, phi)[..., row], phi)
 
 
-def fringe_probabilities(state: TwoModeState, phi: float) -> np.ndarray:
-    """All N+1 outcome probabilities at one phase (they sum to 1)."""
-    n = state.total_photons
-    h = 0.5 * number_difference(n)
-    psi = state.amplitudes * np.exp(-1j * phi * h)
-    out = beam_splitter_matrix(n) @ psi
-    return np.abs(out) ** 2
+def fringe_probabilities(state: TwoModeState, phi) -> np.ndarray:
+    """All N+1 outcome probabilities at each phase (they sum to 1)."""
+    amp, _ = output_amplitudes(state, phi)
+    return np.abs(amp) ** 2
 
 
-def fringe_derivatives(state: TwoModeState, phi: float) -> np.ndarray:
-    """Analytic dp/dphi for all N+1 outcomes at one phase (they sum to 0)."""
-    n = state.total_photons
-    h = 0.5 * number_difference(n)
-    psi = state.amplitudes * np.exp(-1j * phi * h)
-    mat = beam_splitter_matrix(n)
-    out = mat @ psi
-    out_h = mat @ (h * psi)
-    return 2.0 * np.imag(np.conj(out) * out_h)
+def fringe_derivatives(state: TwoModeState, phi) -> np.ndarray:
+    """Analytic dp/dphi for all N+1 outcomes at each phase (they sum to 0)."""
+    return _probability_and_slope(*output_amplitudes(state, phi))[1]
 
 
 def p33_closed_form(phi):
@@ -192,39 +209,30 @@ def _base_state(state_kind: str, total_photons: int) -> TwoModeState:
     return build_state(state_kind, total_photons)
 
 
-def _ideal_curve(model: FringeModel, phis: np.ndarray):
+def _model_fringe(model: FringeModel, phi):
+    """Model fringe probability and its phase derivative, as arrays."""
+    phis = np.asarray(phi, dtype=float)
+    if model.kind == "noon-cosine":
+        n = model.total_photons
+        p = model.amplitude * (1.0 + model.visibility * np.cos(n * phis))
+        dp = -model.amplitude * model.visibility * n * np.sin(n * phis)
+        return p, dp
     state = _base_state(model.state_kind, model.total_photons)
     row = _outcome_index(state, model.outcome)
-    amp, amp_h = _amp_and_grad(state, row, phis)
-    p = np.abs(amp) ** 2
-    dp = 2.0 * np.imag(np.conj(amp) * amp_h)
-    return p, dp
+    amp, amp_h = output_amplitudes(state, phis)
+    p, dp = _probability_and_slope(amp[..., row], amp_h[..., row])
+    return model.amplitude * p + model.offset, model.amplitude * dp
 
 
 def apply_model(model: FringeModel, phi):
     """Evaluate the model fringe probability; scalar in, scalar out
     (arrays pass through elementwise)."""
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    if model.kind == "noon-cosine":
-        p = model.amplitude * (
-            1.0 + model.visibility * np.cos(model.total_photons * phis)
-        )
-    else:
-        ideal, _ = _ideal_curve(model, phis)
-        p = model.amplitude * ideal + model.offset
-    return float(p[0]) if np.isscalar(phi) or np.ndim(phi) == 0 else p
+    return _like_phi(_model_fringe(model, phi)[0], phi)
 
 
 def model_derivative(model: FringeModel, phi):
     """Analytic dp/dphi of the model fringe."""
-    phis = np.atleast_1d(np.asarray(phi, dtype=float))
-    if model.kind == "noon-cosine":
-        n = model.total_photons
-        dp = -model.amplitude * model.visibility * n * np.sin(n * phis)
-    else:
-        _, ideal_dp = _ideal_curve(model, phis)
-        dp = model.amplitude * ideal_dp
-    return float(dp[0]) if np.isscalar(phi) or np.ndim(phi) == 0 else dp
+    return _like_phi(_model_fringe(model, phi)[1], phi)
 
 
 def ideal_model(state_kind: str, total_photons: int, outcome: OutcomePattern) -> FringeModel:
@@ -366,10 +374,7 @@ def fit_fringe(
         )
 
     if model_kind == "affine":
-        base = _base_state(state_kind, total)
-        row = _outcome_index(base, outcome)
-        amp, _ = _amp_and_grad(base, row, phis)
-        ideal = np.abs(amp) ** 2
+        ideal = fringe_probability(_base_state(state_kind, total), outcome, phis)
         design = np.column_stack([shots * ideal, shots])
         param_names = ("a", "b")
     else:

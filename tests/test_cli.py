@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,14 +155,11 @@ class TestFisherCommand:
             capsys,
             [
                 "fisher", "--mode", "full", "--state", "hb", "--n", "6",
-                "--phi-start", "1", "--phi-step", "1", "--format", "json",
+                "--phi-step", "1", "--format", "json",
             ],
         )
         assert code == 0
         values = [row[1] for row in json.loads(out)["rows"]]
-        # The grid starts at 1 degree: at exactly zero phase every outcome
-        # probability is stationary and the 0/0 terms are dropped, so the
-        # full-counting value there is 0 by convention rather than 24.
         assert max(values) - min(values) < 1e-8
         assert values[0] == pytest.approx(24.0, abs=1e-8)
 
@@ -536,21 +537,19 @@ class TestConfigParsing:
             parse_config_blocks("detectors { k 5 }")
 
 
-class TestThreadCap:
-    ARGS = [
-        "fringe", "--state", "hb", "--n", "6", "--outcome", "3:3",
-        "--phi-end", "45",
-    ]
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is needed only by the maximum-likelihood estimator; the
+        # CLI must not pay for importing it on every other command.
+        import fringelab
 
-    def test_threaded_scan_matches_serial(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRINGELAB_THREADS", "1")
-        _, serial, _ = _run(capsys, self.ARGS)
-        monkeypatch.setenv("FRINGELAB_THREADS", "4")
-        _, threaded, _ = _run(capsys, self.ARGS)
-        assert serial == threaded
-
-    def test_invalid_value_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("FRINGELAB_THREADS", "abc")
-        code, _, err = _run(capsys, self.ARGS)
-        assert code == 2
-        assert "FRINGELAB_THREADS" in err
+        src = str(Path(fringelab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import fringelab.cli, sys; assert 'scipy' not in sys.modules"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

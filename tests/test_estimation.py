@@ -127,6 +127,20 @@ class TestSimulateCounts:
         for pattern in record.outcome_counts:
             assert pattern.total == 6
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_detector_draws_ignore_roundoff(self, seed):
+        # phi = 0 and phi = 2 pi are the same setting; their photon
+        # probabilities differ only at roundoff (about 1e-36 and 1e-31
+        # off the bright outcome), which must not change the draw.
+        config = DetectorArrayConfig(detectors_per_port=5, efficiency=0.9)
+        draws = [
+            simulate_counts(
+                ExperimentPlan("hb", 6, (phi,), 100_000, seed, detectors=config)
+            )[0].outcome_counts
+            for phi in (0.0, 2.0 * math.pi)
+        ]
+        assert draws[0] == draws[1]
+
     def test_lossy_detectors_keep_fewer_events(self):
         perfect = DetectorArrayConfig(detectors_per_port=5, efficiency=1.0)
         lossy = DetectorArrayConfig(detectors_per_port=5, efficiency=0.8)

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from fringelab import (
-    FisherProfile,
     OutcomePattern,
     PhysicsError,
     affine_from_visibility,
     affine_model,
     beam_splitter_matrix,
-    fisher_profile,
     find_peak,
     full_fisher,
     generator_variance,
@@ -77,6 +75,19 @@ class TestFullFisher:
                 state = make_state(total, amps)
                 phi = float(rng.uniform(0, math.pi))
                 assert full_fisher(state, phi) <= generator_variance(state) + 1e-9
+
+    @pytest.mark.parametrize("builder", [hb_state, noon_state, snl_state])
+    @pytest.mark.parametrize("total", [2, 4, 6, 8])
+    @pytest.mark.parametrize("turns", [0.0, 1.0, None])
+    def test_limit_at_removable_singularities(self, builder, total, turns):
+        # phi = 0, pi/N and pi/2 put outcomes at exact bright or dark
+        # points, where p and dp/dphi vanish together; the limits of those
+        # terms keep the full-counting value at the generator variance.
+        state = builder(total)
+        phi = math.pi / 2 if turns is None else turns * math.pi / total
+        assert full_fisher(state, phi) == pytest.approx(
+            generator_variance(state), rel=1e-12
+        )
 
     @pytest.mark.parametrize("builder", [hb_state, noon_state, snl_state])
     def test_saturates_for_path_symmetric_states(self, builder):
@@ -327,25 +338,48 @@ class TestScalingTable:
 
 
 class TestProfilesAndPeaks:
-    def test_fisher_profile_fields(self):
-        model = affine_from_visibility("hb", 6, O33, 0.94)
-        phis = np.linspace(5 * DEG, 25 * DEG, 21)
-        profile = fisher_profile(
-            lambda phi: single_fringe_fisher_model(model, phi),
-            phis,
-            label="hb6 affine",
-        )
-        assert isinstance(profile, FisherProfile)
-        assert profile.band is None
-        assert profile.label == "hb6 affine"
-        assert profile.values.shape == (21,)
-        assert np.all(profile.values >= 0.0)
-
     def test_model_fisher_sigma_positive_off_peak(self):
         model = affine_from_visibility("hb", 6, O33, 0.94)
         jac = np.array([1.0, -1.0])
         cov = 0.02**2 * np.outer(jac, jac)
         assert model_fisher_sigma(model, cov, 15 * DEG) > 0.0
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            affine_from_visibility("hb", 6, O33, 0.94),
+            affine_model("hb", 6, O33, 0.8, 0.1),
+            noon_cosine_model(6, visibility=0.94),
+            noon_cosine_model(6, visibility=0.7, amplitude=0.4),
+        ],
+        ids=["affine-0.94", "affine-0.8-0.1", "noon-0.94", "noon-0.7-0.4"],
+    )
+    def test_model_fisher_sigma_matches_central_difference(self, model):
+        if model.kind == "affine":
+            params = np.array([model.amplitude, model.offset])
+
+            def build(a, b):
+                return affine_model("hb", 6, O33, a, b)
+        else:
+            params = np.array([model.amplitude, model.visibility])
+
+            def build(q, vis):
+                return noon_cosine_model(6, O33, visibility=vis, amplitude=q)
+
+        cov = np.array([[3e-4, -1e-4], [-1e-4, 2e-4]])
+        for phi in (3 * DEG, 9 * DEG, 15 * DEG, 21 * DEG, 28 * DEG):
+            grad = np.empty(2)
+            for i in range(2):
+                step = np.zeros(2)
+                step[i] = 1e-6
+                grad[i] = (
+                    single_fringe_fisher_model(build(*(params + step)), phi)
+                    - single_fringe_fisher_model(build(*(params - step)), phi)
+                ) / 2e-6
+            expected = math.sqrt(grad @ cov @ grad)
+            assert model_fisher_sigma(model, cov, phi) == pytest.approx(
+                expected, rel=1e-6
+            )
 
     def test_find_peak_on_cosine(self):
         phi, value = find_peak(lambda x: math.cos(x - 0.8), 0.0, 2.0)

@@ -21,15 +21,21 @@ from fringelab import (
     fringe_probabilities,
     fringe_probability,
     fringe_visibility,
+    full_fisher,
     hb_state,
     ideal_model,
     make_state,
     model_derivative,
+    model_fisher_sigma,
     noon_cosine_model,
     noon_state,
+    optimality_certificate,
+    output_amplitudes,
     p33_closed_form,
     parity_expectation,
     simulate_counts,
+    single_fringe_fisher,
+    single_fringe_fisher_model,
     snl_state,
 )
 
@@ -234,13 +240,58 @@ class TestFringeModel:
                 )
 
     def test_scalar_and_array_evaluation_agree(self):
-        model = affine_from_visibility("hb", 6, O33, 0.94)
+        # Every function of the phase takes a scalar or an array of phases.
+        # Array evaluation may sum amplitude terms in a different order, so
+        # agreement is to rounding, not bit-exact.
+        state = make_state(6, random_states(6, 1, np.random.default_rng(5))[0])
+        affine = affine_from_visibility("hb", 6, O33, 0.94)
+        cosine = noon_cosine_model(6, visibility=0.94)
+        cov = np.array([[3e-4, -1e-4], [-1e-4, 2e-4]])
+        functions = {
+            "output_amplitudes": lambda phi: np.stack(
+                output_amplitudes(state, phi), axis=-2
+            ),
+            "fringe_probability": lambda phi: fringe_probability(state, O33, phi),
+            "fringe_derivative": lambda phi: fringe_derivative(state, O33, phi),
+            "fringe_probabilities": lambda phi: fringe_probabilities(state, phi),
+            "fringe_derivatives": lambda phi: fringe_derivatives(state, phi),
+            "p33_closed_form": p33_closed_form,
+            "apply_model affine": lambda phi: apply_model(affine, phi),
+            "apply_model cosine": lambda phi: apply_model(cosine, phi),
+            "model_derivative affine": lambda phi: model_derivative(affine, phi),
+            "model_derivative cosine": lambda phi: model_derivative(cosine, phi),
+            "full_fisher hb": lambda phi: full_fisher(hb_state(6), phi),
+            "full_fisher": lambda phi: full_fisher(state, phi),
+            "single_fringe_fisher hb": lambda phi: single_fringe_fisher(
+                hb_state(6), O33, phi
+            ),
+            "single_fringe_fisher": lambda phi: single_fringe_fisher(state, O33, phi),
+            "single_fringe_fisher_model affine": lambda phi: (
+                single_fringe_fisher_model(affine, phi)
+            ),
+            "single_fringe_fisher_model cosine": lambda phi: (
+                single_fringe_fisher_model(cosine, phi)
+            ),
+            "model_fisher_sigma affine": lambda phi: model_fisher_sigma(
+                affine, cov, phi
+            ),
+            "model_fisher_sigma cosine": lambda phi: model_fisher_sigma(
+                cosine, cov, phi
+            ),
+            "optimality_certificate": lambda phi: np.array(
+                [
+                    getattr(optimality_certificate(state, O33, phi), field)
+                    for field in ("fisher", "overlap_bound", "gradient_tight")
+                ],
+                dtype=float,
+            ).T,
+        }
         phis = np.linspace(0, 1, 7)
-        batch = apply_model(model, phis)
-        for phi, value in zip(phis, batch):
-            # Array evaluation may sum amplitude terms in a different
-            # order, so agreement is to rounding, not bit-exact.
-            assert apply_model(model, float(phi)) == pytest.approx(value, rel=1e-13)
+        for name, fun in functions.items():
+            batch = fun(phis)
+            assert len(batch) == len(phis), name
+            for phi, value in zip(phis, batch):
+                assert fun(float(phi)) == pytest.approx(value, rel=1e-13), name
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(PhysicsError):
