@@ -41,7 +41,6 @@ from .fisher import (
     model_fisher_sigma,
     noon_asymptotic,
     scaling_table,
-    single_fringe_fisher,
     single_fringe_fisher_model,
 )
 from .fock import OutcomePattern, PhysicsError
@@ -411,14 +410,9 @@ def cmd_fisher(args) -> int:
         if args.band:
             raise UsageError("--band applies to single-fringe models only")
         fun = partial(full_fisher, build_state(args.state, args.n))
-    elif args.model == "ideal":
-        if args.band:
-            raise UsageError("--band needs --model affine or noon-cosine")
-        if args.outcome is None:
-            raise UsageError("--outcome is required for --mode single")
-        outcome = _parse_outcome(args.outcome)
-        fun = partial(single_fringe_fisher, build_state(args.state, args.n), outcome)
     else:
+        if args.band and args.model == "ideal":
+            raise UsageError("--band needs --model affine or noon-cosine")
         if args.outcome is None:
             raise UsageError("--outcome is required for --mode single")
         outcome = _parse_outcome(args.outcome)

@@ -259,10 +259,10 @@ def mle_phase(
         misses = sum(r.shots for r in records) - hits
 
         def loglik_and_score(phi):
-            p, dp = _model_fringe(model, phi)
-            p = np.clip(p, 1e-300, 1.0 - 1e-16)
-            loglik = hits * np.log(p) + misses * np.log1p(-p)
-            return loglik, (hits / p - misses / (1.0 - p)) * dp
+            p, rest, dp = _model_fringe(model, phi)
+            p, rest = np.maximum(p, 1e-300), np.maximum(rest, 1e-300)
+            loglik = hits * np.log(p) + misses * np.log(rest)
+            return loglik, (hits / p - misses / rest) * dp
 
     def loglik(phi: float) -> float:
         return float(loglik_and_score(phi)[0])
@@ -281,18 +281,18 @@ def mle_phase(
     phi_hat = float(res.x)
     best_ll = -float(res.fun)
 
-    # The log-likelihood magnitude limits how finely its flat maximum can
-    # be resolved; a root of the analytic score recovers the lost digits.
-    # The log-likelihood is a sum of same-sign terms, so it is good only to
-    # a few units in its last place: within that, the root is kept.
-    sa, sb = score(a), score(b)
-    if sa > 0.0 > sb:
-        root = float(brentq(score, a, b, xtol=1e-14))
-        root_ll = loglik(root)
-        if root_ll >= best_ll - 16.0 * np.spacing(abs(best_ll)):
-            phi_hat, best_ll = root, root_ll
-
+    # The log-likelihood carries roundoff far above its last place (log p
+    # near 1 times many counts), which limits how finely the bounded search
+    # resolves its flat maximum; a root of the analytic score recovers the
+    # lost digits. The score is bracketed close around the bounded
+    # estimate, so a sign change there is the maximum it found.
     span = hi - lo
+    left = max(phi_hat - 1e-6 * span, a)
+    right = min(phi_hat + 1e-6 * span, b)
+    if score(left) > 0.0 > score(right):
+        phi_hat = float(brentq(score, left, right, xtol=1e-14))
+        best_ll = loglik(phi_hat)
+
     at_boundary = phi_hat - lo < 1e-6 * span or hi - phi_hat < 1e-6 * span
     step = max(1e-4, 1e-7 * span)
     left = max(phi_hat - step, lo)

@@ -43,7 +43,7 @@ from .fringes import (
     _P_TOL,
     _like_phi,
     _model_fringe,
-    _outcome_index,
+    _one_fringe,
     _probability_and_slope,
 )
 
@@ -100,16 +100,6 @@ def single_fringe_fisher(state: TwoModeState, outcome: OutcomePattern, phi):
     return _like_phi(_binary_fisher(p, rest, dp), phi)
 
 
-def _one_fringe(state: TwoModeState, outcome: OutcomePattern, phi):
-    """p, 1 - p summed over the other outcomes, dp/dphi and A_h of one
-    outcome, from one kernel call."""
-    row = _outcome_index(state, outcome)
-    amp, amp_h = output_amplitudes(state, phi)
-    rest = np.delete(np.abs(amp) ** 2, row, axis=-1).sum(axis=-1)
-    p, dp = _probability_and_slope(amp[..., row], amp_h[..., row])
-    return p, rest, dp, amp_h[..., row]
-
-
 def _binary_fisher(p, rest, dp):
     """Binary Fisher term dp^2 / (p rest), with the complement probability
     passed separately so callers can supply it without cancellation."""
@@ -122,9 +112,10 @@ def _binary_fisher(p, rest, dp):
 
 
 def single_fringe_fisher_model(model: FringeModel, phi):
-    """Single-fringe Fisher information of a fringe model."""
-    p, dp = _model_fringe(model, phi)
-    return _like_phi(_binary_fisher(p, 1.0 - p, dp), phi)
+    """Single-fringe Fisher information of a fringe model, with the
+    complement taken without cancellation (see ``fringes._model_fringe``);
+    the ideal model gives exactly ``single_fringe_fisher`` of its state."""
+    return _like_phi(_binary_fisher(*_model_fringe(model, phi)), phi)
 
 
 def model_fisher_sigma(model: FringeModel, cov: np.ndarray, phi):
@@ -138,26 +129,25 @@ def model_fisher_sigma(model: FringeModel, cov: np.ndarray, phi):
     for the noon-cosine family.
     """
     phis = np.asarray(phi, dtype=float)
+    p, rest, dp = _model_fringe(model, phis)
     if model.kind == "affine":
         ideal = ideal_model(model.state_kind, model.total_photons, model.outcome)
-        p0, dp0 = _model_fringe(ideal, phis)
-        p, dp = model.amplitude * p0 + model.offset, model.amplitude * dp0
+        p0, _, dp0 = _model_fringe(ideal, phis)
         grad_p = np.stack([p0, np.ones_like(p0)])
         grad_dp = np.stack([dp0, np.zeros_like(dp0)])
     else:
-        p, dp = _model_fringe(model, phis)
         n, q, vis = model.total_photons, model.amplitude, model.visibility
         cos, sin = np.cos(n * phis), np.sin(n * phis)
         grad_p = np.stack([1.0 + vis * cos, q * cos])
         grad_dp = np.stack([-vis * n * sin, -q * n * sin])
     # Where F is zero it sits at its minimum over the parameters (dp = 0,
     # or a removable singularity held at zero), so its gradient is zero.
-    fisher = _binary_fisher(p, 1.0 - p, dp)
+    fisher = _binary_fisher(p, rest, dp)
     informative = fisher > 0.0
-    denom = np.where(informative, p * (1.0 - p), 1.0)
+    denom = np.where(informative, p * rest, 1.0)
     grad = np.where(
         informative,
-        (2.0 * dp * grad_dp - fisher * (1.0 - 2.0 * p) * grad_p) / denom,
+        (2.0 * dp * grad_dp - fisher * (rest - p) * grad_p) / denom,
         0.0,
     )
     var = np.einsum("i...,ij,j...->...", grad, np.asarray(cov, dtype=float), grad)
@@ -261,40 +251,32 @@ def scaling_table(n_max: int) -> list[ScalingRow]:
     ]
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def find_peak(fun, lo: float = 0.0, hi: float = math.pi,
               coarse_step: float = math.radians(0.25)) -> tuple[float, float]:
-    """Locate the maximum of a scalar function of phase.
+    """Locate the maximum of a function of phase on [lo, hi].
 
-    Scans a coarse grid (default 0.25 degrees over [0, pi]) and refines
-    the best bracket by golden-section search. Deterministic; never
-    returns less than the best coarse-grid sample.
+    ``fun`` maps an array of phases to an array of values, as every phase
+    function in the library does; it is never called with a scalar. One
+    call scans a coarse grid (default 0.25 degrees); each further call
+    evaluates 17 points across the bracket around the best sample so far,
+    shrinking it eightfold, until the bracket is under 1e-10. Returns the
+    best sample (phase, value): deterministic, and never less than the
+    best coarse-grid sample.
     """
     if hi <= lo:
         raise PhysicsError(f"need lo < hi, got [{lo}, {hi}]")
     count = max(2, int(round((hi - lo) / coarse_step)) + 1)
     grid = np.linspace(lo, hi, count)
-    vals = np.array([fun(x) for x in grid])
-    i = int(np.argmax(vals))
-    best_x, best_f = float(grid[i]), float(vals[i])
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, count - 1)])
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > 1e-10:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    fx = fun(x)
-    if fx > best_f:
-        best_x, best_f = x, fx
-    return best_x, float(best_f)
+    best_x, best_f, width = lo, -math.inf, math.inf
+    while True:
+        vals = np.asarray(fun(grid), dtype=float)
+        i = int(np.argmax(vals))
+        if vals[i] > best_f:
+            best_x, best_f = float(grid[i]), float(vals[i])
+        a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        # Stop once the bracket is resolved, or no longer shrinks because
+        # it has reached the spacing of doubles near the peak.
+        if b - a < 1e-10 or b - a >= width:
+            return best_x, best_f
+        width = b - a
+        grid = np.linspace(a, b, 17)

@@ -49,8 +49,9 @@ class FringeModel:
 
     ``state_kind``/``total_photons`` name the underlying input state, and
     ``outcome`` the detection pattern whose fringe is modeled. For the
-    affine family the visibility field holds a/(a+2b), the fringe contrast
-    when the exact fringe spans [0, 1].
+    affine family the visibility field is derived, not given: it is set to
+    a/(a+2b), the fringe contrast when the exact fringe spans [0, 1]
+    (0 when a + 2b = 0), whatever value is passed.
     """
 
     kind: str
@@ -62,6 +63,10 @@ class FringeModel:
     visibility: float = 1.0
 
     def __post_init__(self) -> None:
+        if self.kind == "affine":
+            denom = self.amplitude + 2.0 * self.offset
+            vis = self.amplitude / denom if denom > 0.0 else 0.0
+            object.__setattr__(self, "visibility", vis)
         if self.kind not in _MODEL_KINDS:
             raise PhysicsError(
                 f"unknown fringe model kind {self.kind!r}; "
@@ -209,19 +214,39 @@ def _base_state(state_kind: str, total_photons: int) -> TwoModeState:
     return build_state(state_kind, total_photons)
 
 
+def _one_fringe(state: TwoModeState, outcome: OutcomePattern, phi):
+    """p, 1 - p summed over the other outcomes, dp/dphi and A_h of one
+    outcome, from one kernel call."""
+    row = _outcome_index(state, outcome)
+    amp, amp_h = output_amplitudes(state, phi)
+    rest = np.delete(np.abs(amp) ** 2, row, axis=-1).sum(axis=-1)
+    p, dp = _probability_and_slope(amp[..., row], amp_h[..., row])
+    return p, rest, dp, amp_h[..., row]
+
+
 def _model_fringe(model: FringeModel, phi):
-    """Model fringe probability and its phase derivative, as arrays."""
+    """Model fringe probability p, its complement 1 - p and dp/dphi, as
+    arrays.
+
+    Neither p nor its complement is formed by a subtraction, which cancels
+    at the crests and dark points that carry the most information. For the
+    ideal and affine families the complement is a * rest0 + (1 - a - b),
+    with rest0 the exact probability of the other outcomes, so the ideal
+    model (a = 1, b = 0) reproduces its state's fringe bit for bit. For the
+    noon-cosine family, in x = N phi, p = q (1 - V) + 2 q V cos^2(x/2) and
+    1 - p = (1 - q (1 + V)) + 2 q V sin^2(x/2).
+    """
     phis = np.asarray(phi, dtype=float)
     if model.kind == "noon-cosine":
-        n = model.total_photons
-        p = model.amplitude * (1.0 + model.visibility * np.cos(n * phis))
-        dp = -model.amplitude * model.visibility * n * np.sin(n * phis)
-        return p, dp
+        n, q, vis = model.total_photons, model.amplitude, model.visibility
+        x = n * phis
+        p = q * (1.0 - vis) + 2.0 * q * vis * np.cos(0.5 * x) ** 2
+        rest = (1.0 - q * (1.0 + vis)) + 2.0 * q * vis * np.sin(0.5 * x) ** 2
+        return p, rest, -q * vis * n * np.sin(x)
+    a, b = model.amplitude, model.offset
     state = _base_state(model.state_kind, model.total_photons)
-    row = _outcome_index(state, model.outcome)
-    amp, amp_h = output_amplitudes(state, phis)
-    p, dp = _probability_and_slope(amp[..., row], amp_h[..., row])
-    return model.amplitude * p + model.offset, model.amplitude * dp
+    p0, rest0, dp0, _ = _one_fringe(state, model.outcome, phis)
+    return a * p0 + b, a * rest0 + (1.0 - a - b), a * dp0
 
 
 def apply_model(model: FringeModel, phi):
@@ -232,7 +257,7 @@ def apply_model(model: FringeModel, phi):
 
 def model_derivative(model: FringeModel, phi):
     """Analytic dp/dphi of the model fringe."""
-    return _like_phi(_model_fringe(model, phi)[1], phi)
+    return _like_phi(_model_fringe(model, phi)[2], phi)
 
 
 def ideal_model(state_kind: str, total_photons: int, outcome: OutcomePattern) -> FringeModel:
@@ -247,11 +272,7 @@ def affine_model(
     offset: float,
 ) -> FringeModel:
     """Affine-contrast fringe with explicit scale and floor."""
-    denom = amplitude + 2.0 * offset
-    vis = amplitude / denom if denom > 0 else 0.0
-    return FringeModel(
-        "affine", state_kind, total_photons, outcome, amplitude, offset, vis
-    )
+    return FringeModel("affine", state_kind, total_photons, outcome, amplitude, offset)
 
 
 def affine_from_visibility(
@@ -272,9 +293,7 @@ def affine_from_visibility(
         raise PhysicsError(f"peak probability must lie in (0, 1], got {peak}")
     amplitude = 2.0 * peak * visibility / (1.0 + visibility)
     offset = peak * (1.0 - visibility) / (1.0 + visibility)
-    return FringeModel(
-        "affine", state_kind, total_photons, outcome, amplitude, offset, visibility
-    )
+    return FringeModel("affine", state_kind, total_photons, outcome, amplitude, offset)
 
 
 def noon_cosine_model(

@@ -248,6 +248,11 @@ class TestDirectFisher:
 class TestMlePhase:
     INTERVAL = (0.0, 30.0 * DEG)
 
+    # Phases for noise-free recovery, down to the bright point at 0 and up
+    # to the dark point at 30 degrees, where the log-likelihood is flat to
+    # its own roundoff and only the score root resolves the maximum.
+    NOISE_FREE_DEG = (0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 5.0, 15.0, 25.0, 29.9, 29.95)
+
     def test_noise_free_binomial_counts_recover_phase(self):
         shots = 1_000_000
         hits = p33_closed_form(15.0 * DEG) * shots
@@ -256,6 +261,11 @@ class TestMlePhase:
         assert abs(result.phi_hat - 15.0 * DEG) <= 1e-9
         assert not result.at_boundary
         assert result.stderr > 0.0
+        for deg in self.NOISE_FREE_DEG:
+            hits = p33_closed_form(deg * DEG) * shots
+            records = [CountRecord(phi=0.0, shots=shots, outcome_counts={P33: hits})]
+            result = mle_phase(records, IDEAL33, self.INTERVAL)
+            assert abs(result.phi_hat - deg * DEG) <= 1e-12, deg
 
     def test_noise_free_multinomial_counts_recover_phase(self):
         state = hb_state(6)
@@ -267,6 +277,14 @@ class TestMlePhase:
         records = [CountRecord(phi=0.0, shots=shots, outcome_counts=counts)]
         result = mle_phase(records, state, self.INTERVAL)
         assert abs(result.phi_hat - 15.0 * DEG) <= 1e-9
+        for deg in self.NOISE_FREE_DEG:
+            probs = fringe_probabilities(state, deg * DEG)
+            counts = {
+                OutcomePattern(k, 6 - k): float(probs[k]) * shots for k in range(7)
+            }
+            records = [CountRecord(phi=0.0, shots=shots, outcome_counts=counts)]
+            result = mle_phase(records, state, self.INTERVAL)
+            assert abs(result.phi_hat - deg * DEG) <= 1e-12, deg
 
     def test_interval_coverage_of_error_bars(self):
         # 300 independent binomial experiments; the 3-sigma interval from

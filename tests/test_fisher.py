@@ -136,6 +136,25 @@ class TestSingleFringeFisherModel:
         )
         assert single_fringe_fisher_model(model, 0.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "model, phi0, limit",
+        [
+            (ideal_model("hb", 6, O33), 0.0, 24.0),
+            (affine_model("hb", 6, O33, 0.75, 0.25), 0.0, 18.0),
+            (noon_cosine_model(6, visibility=1.0, amplitude=0.5), 0.0, 36.0),
+            (noon_cosine_model(6, visibility=1.0), 30 * DEG, 22.5),
+        ],
+        ids=["ideal-crest", "affine-crest", "noon-crest", "noon-dark"],
+    )
+    def test_limit_next_to_crest_and_dark_point(self, model, phi0, limit):
+        # Within 1e-9 rad of p = 1 or p = 0 the value keeps its limit:
+        # neither p nor its complement is formed by cancellation.
+        for offset in (1e-9, 1e-7):
+            phi = phi0 + offset if phi0 == 0.0 else phi0 - offset
+            assert single_fringe_fisher_model(model, phi) == pytest.approx(
+                limit, rel=1e-9
+            )
+
     def test_reduced_visibility_kills_origin(self):
         model = affine_from_visibility("hb", 6, O33, 0.94)
         assert single_fringe_fisher_model(model, 0.0) == 0.0
@@ -382,9 +401,24 @@ class TestProfilesAndPeaks:
             )
 
     def test_find_peak_on_cosine(self):
-        phi, value = find_peak(lambda x: math.cos(x - 0.8), 0.0, 2.0)
+        phi, value = find_peak(lambda x: np.cos(x - 0.8), 0.0, 2.0)
         assert phi == pytest.approx(0.8, abs=1e-6)
         assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_find_peak_searches_on_arrays(self):
+        model = affine_from_visibility("hb", 6, O33, 0.94)
+        calls = []
+
+        def fun(phi):
+            assert isinstance(phi, np.ndarray) and phi.ndim == 1
+            calls.append(phi.size)
+            return single_fringe_fisher_model(model, phi)
+
+        _, peak = find_peak(fun, 0.0, math.pi / 6.0)
+        assert len(calls) <= 12
+        coarse = np.linspace(0.0, math.pi / 6.0, 121)
+        assert calls[0] == coarse.size
+        assert peak >= np.max(single_fringe_fisher_model(model, coarse))
 
     def test_find_peak_deterministic(self):
         model = noon_cosine_model(6, visibility=0.94)

@@ -225,6 +225,12 @@ class TestFringeModel:
         assert model.amplitude / (model.amplitude + 2 * model.offset) == (
             pytest.approx(0.94, abs=1e-12)
         )
+        assert model.visibility == pytest.approx(0.94, abs=1e-12)
+        # For the affine kind the visibility is derived from (a, b); a
+        # given value is not kept.
+        given = FringeModel("affine", "hb", 6, O33, 0.5, 0.1, 0.3)
+        assert given.visibility == pytest.approx(0.5 / 0.7, rel=1e-15)
+        assert FringeModel("affine", "hb", 6, O33, 0.0, 0.0, 0.3).visibility == 0.0
 
     def test_model_derivative_matches_finite_differences(self):
         models = [
