@@ -130,13 +130,26 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
     match = re.fullmatch(r"\s*(-?[\d.]+)\s*:\s*(-?[\d.]+)\s*", text)
     if match is None:
         raise UsageError(f"{flag} must look like LO:HI in degrees, got {text!r}")
-    lo, hi = float(match.group(1)), float(match.group(2))
+    lo, hi = _number(match.group(1), flag), _number(match.group(2), flag)
     if hi <= lo:
         raise UsageError(f"{flag} needs LO < HI, got {text!r}")
     return lo, hi
 
 
+def _number(raw, what: str, kind=float):
+    """``raw`` as a finite float or int (``kind``), else a usage error."""
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{what} must be a finite number, got {raw!r}")
+    return value
+
+
 def _phase_grid(start: float, end: float, step: float) -> np.ndarray:
+    if not all(map(math.isfinite, (start, end, step))):
+        raise UsageError("--phi-start, --phi-end and --phi-step must be finite")
     if step <= 0:
         raise UsageError(f"--phi-step must be positive, got {step}")
     if end < start:
@@ -221,7 +234,7 @@ def records_to_json(records: list[CountRecord], seed: int | None = None) -> str:
 
 
 def _counts_value(raw: str):
-    number = float(raw)
+    number = _number(raw, "an event count")
     return int(number) if number == int(number) else number
 
 
@@ -256,8 +269,8 @@ def records_from_csv(text: str) -> tuple[list[CountRecord], int | None]:
                 counts[_parse_outcome(key)] = _counts_value(value)
         records.append(
             CountRecord(
-                phi=math.radians(float(parts[0])),
-                shots=int(parts[1]),
+                phi=math.radians(_number(parts[0], "phi_deg")),
+                shots=_number(parts[1], "shots", int),
                 outcome_counts=counts,
             )
         )
@@ -269,8 +282,8 @@ def records_from_json(text: str) -> tuple[list[CountRecord], int | None]:
         data = json.loads(text)
         records = [
             CountRecord(
-                phi=math.radians(float(item["phi_deg"])),
-                shots=int(item["shots"]),
+                phi=math.radians(_number(item["phi_deg"], "phi_deg")),
+                shots=_number(item["shots"], "shots", int),
                 outcome_counts={
                     _parse_outcome(key): value
                     for key, value in item["counts"].items()
@@ -309,10 +322,7 @@ def parse_config_blocks(text: str) -> dict[str, dict[str, float]]:
             key, sep, value = part.partition("=")
             if not sep:
                 raise UsageError(f"bad config entry {part!r}")
-            try:
-                body[key.strip()] = float(value.strip())
-            except ValueError:
-                raise UsageError(f"bad config value in {part!r}") from None
+            body[key.strip()] = _number(value.strip(), f"config value {key.strip()!r}")
         blocks[match.group(1)] = body
     return blocks
 
@@ -324,8 +334,8 @@ def _detectors_from_mapping(data: dict) -> DetectorArrayConfig:
             f"unknown detector settings {sorted(unknown)}; expected k, eta"
         )
     return DetectorArrayConfig(
-        detectors_per_port=int(data.get("k", 5)),
-        efficiency=float(data.get("eta", 1.0)),
+        detectors_per_port=_number(data.get("k", 5), "detector k", int),
+        efficiency=_number(data.get("eta", 1.0), "detector eta"),
     )
 
 
@@ -344,11 +354,11 @@ def _model_from_mapping(data: dict, state_kind: str, total_photons: int) -> Frin
     return _build_model(
         kind,
         str(data.get("state", state_kind)),
-        int(data.get("n", total_photons)),
+        _number(data.get("n", total_photons), "model n", int),
         outcome,
-        float(data.get("visibility", 1.0)),
-        float(data.get("peak", DEFAULT_FRINGE_PEAK)),
-        None if amplitude is None else float(amplitude),
+        _number(data.get("visibility", 1.0), "model visibility"),
+        _number(data.get("peak", DEFAULT_FRINGE_PEAK), "model peak"),
+        None if amplitude is None else _number(amplitude, "model amplitude"),
     )
 
 
@@ -361,14 +371,17 @@ def plan_from_dict(data: dict, detectors: DetectorArrayConfig | None = None) -> 
     if missing:
         raise UsageError(f"plan is missing required keys {missing}")
     state_kind = str(data.get("state", "hb"))
-    total_photons = int(data["n"])
+    total_photons = _number(data["n"], "plan n", int)
+    seed = _number(data["seed"], "plan seed", int)
+    if seed < 0:
+        raise UsageError(f"plan seed must not be negative, got {seed}")
     if "phases_deg" in data:
-        phases = tuple(math.radians(float(x)) for x in data["phases_deg"])
+        phases = tuple(math.radians(_number(x, "phases_deg")) for x in data["phases_deg"])
     else:
         grid = _phase_grid(
-            float(data.get("phi_start", 0.0)),
-            float(data.get("phi_end", 30.0)),
-            float(data.get("phi_step", 3.0)),
+            _number(data.get("phi_start", 0.0), "plan phi_start"),
+            _number(data.get("phi_end", 30.0), "plan phi_end"),
+            _number(data.get("phi_step", 3.0), "plan phi_step"),
         )
         phases = tuple(math.radians(float(x)) for x in grid)
     if detectors is None and "detectors" in data:
@@ -380,8 +393,8 @@ def plan_from_dict(data: dict, detectors: DetectorArrayConfig | None = None) -> 
         state_kind=state_kind,
         total_photons=total_photons,
         phases=phases,
-        shots=int(data["shots"]),
-        seed=int(data["seed"]),
+        shots=_number(data["shots"], "plan shots", int),
+        seed=seed,
         detectors=detectors,
         model=model,
     )
@@ -547,11 +560,7 @@ def cmd_estimate(args) -> int:
             {
                 "model_kind": kind,
                 "estimate": _jsonable(math.degrees(result.phi_hat)),
-                "stderr": _jsonable(
-                    math.degrees(result.stderr)
-                    if math.isfinite(result.stderr)
-                    else math.inf
-                ),
+                "stderr": _jsonable(math.degrees(result.stderr)),
                 "window": [lo, hi],
                 "at_boundary": result.at_boundary,
                 "log_likelihood": _jsonable(result.log_likelihood),

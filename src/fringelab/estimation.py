@@ -25,9 +25,13 @@ from .fringes import (
     fringe_probabilities,
     output_amplitudes,
     _P_TOL,
+    _curvatures,
+    _model_curvature,
     _model_fringe,
+    _outcome_index,
     _probability_and_slope,
 )
+from .fisher import find_peak
 from .states import build_state
 
 
@@ -226,8 +230,8 @@ def mle_phase(
     with a TwoModeState it is multinomial over every recorded pattern.
     The search interval must be a symmetry cell of the fringe within
     which the phase is identifiable; a maximum on the interval edge is
-    flagged, not raised. The standard error is the inverse curvature of
-    the log-likelihood at the maximum.
+    flagged, not raised. The standard error is 1/sqrt of the analytic
+    observed information -d^2 log L/dphi^2 at the maximum.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if hi <= lo:
@@ -235,72 +239,56 @@ def mle_phase(
     if not records:
         raise PhysicsError("no count records")
 
-    from scipy.optimize import brentq, minimize_scalar
-
     if isinstance(model, TwoModeState):
-        pooled: dict[OutcomePattern, float] = {}
+        weights = np.zeros(model.total_photons + 1)
         for r in records:
             for pat, c in r.outcome_counts.items():
-                pooled[pat] = pooled.get(pat, 0.0) + float(c)
-        if not pooled:
+                weights[_outcome_index(model, pat)] += c
+        if not weights.any():
             raise PhysicsError("no recorded events")
-        pats = sorted(pooled)
-        rows = [pat.out_port_1 for pat in pats]
-        weights = np.array([pooled[p] for p in pats])
 
-        def loglik_and_score(phi):
-            amp, amp_h = output_amplitudes(model, phi)
-            p, dp = _probability_and_slope(amp[..., rows], amp_h[..., rows])
-            p = np.clip(p, 1e-300, 1.0)
-            return np.log(p) @ weights, (dp / p) @ weights
+        def categories(phi):
+            return _probability_and_slope(*output_amplitudes(model, phi))
+
+        def curvatures(phi):
+            return _curvatures(model, phi)
 
     else:
+        # Two categories: the outcome and its complement, without cancellation.
         hits = sum(float(r.outcome_counts.get(model.outcome, 0.0)) for r in records)
-        misses = sum(r.shots for r in records) - hits
+        weights = np.array([hits, sum(r.shots for r in records) - hits])
 
-        def loglik_and_score(phi):
+        def categories(phi):
             p, rest, dp = _model_fringe(model, phi)
-            p, rest = np.maximum(p, 1e-300), np.maximum(rest, 1e-300)
-            loglik = hits * np.log(p) + misses * np.log(rest)
-            return loglik, (hits / p - misses / rest) * dp
+            return np.stack([p, rest], axis=-1), np.stack([dp, -dp], axis=-1)
 
-    def loglik(phi: float) -> float:
-        return float(loglik_and_score(phi)[0])
+        def curvatures(phi):
+            return _model_curvature(model, phi) * np.array([1.0, -1.0])
 
-    def score(phi: float) -> float:
-        return float(loglik_and_score(phi)[1])
-
-    grid = np.linspace(lo, hi, 241)
-    values = loglik_and_score(grid)[0]
-    i = int(np.argmax(values))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    res = minimize_scalar(
-        lambda x: -loglik(x), bounds=(a, b), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    phi_hat = float(res.x)
-    best_ll = -float(res.fun)
+    def loglik(phi):
+        return np.log(np.maximum(categories(phi)[0], 1e-300)) @ weights
 
     # The log-likelihood carries roundoff far above its last place (log p
-    # near 1 times many counts), which limits how finely the bounded search
-    # resolves its flat maximum; a root of the analytic score recovers the
-    # lost digits. The score is bracketed close around the bounded
-    # estimate, so a sign change there is the maximum it found.
+    # near 1 times many counts), which limits how finely find_peak resolves
+    # its flat maximum. Newton steps on the analytic score, kept within 1e-6
+    # of the span around that maximum, recover the lost digits; they stop
+    # once a step falls under 1e-14 of the span, the score's roundoff.
     span = hi - lo
-    left = max(phi_hat - 1e-6 * span, a)
-    right = min(phi_hat + 1e-6 * span, b)
-    if score(left) > 0.0 > score(right):
-        phi_hat = float(brentq(score, left, right, xtol=1e-14))
-        best_ll = loglik(phi_hat)
+    phi_hat = find_peak(loglik, lo, hi, span / 240.0)[0]
+    left, right = max(phi_hat - 1e-6 * span, lo), min(phi_hat + 1e-6 * span, hi)
+    for _ in range(4):
+        p, dp = categories(phi_hat)
+        p = np.maximum(p, 1e-300)
+        score = float((weights / p) @ dp)
+        info = float((weights / p) @ (dp * dp / p - curvatures(phi_hat)))
+        target = min(max(phi_hat + score / info, left), right) if info > 0.0 else phi_hat
+        if abs(target - phi_hat) <= 1e-14 * span:
+            break
+        phi_hat = target
 
     at_boundary = phi_hat - lo < 1e-6 * span or hi - phi_hat < 1e-6 * span
-    step = max(1e-4, 1e-7 * span)
-    left = max(phi_hat - step, lo)
-    right = min(phi_hat + step, hi)
-    curv = (loglik(right) - 2.0 * loglik(phi_hat) + loglik(left)) / (
-        (0.5 * (right - left)) ** 2
-    )
-    stderr = 1.0 / math.sqrt(-curv) if curv < 0 else math.inf
+    stderr = 1.0 / math.sqrt(info) if info > 0.0 else math.inf
+    best_ll = float(loglik(phi_hat))
     return MleResult(phi_hat, stderr, at_boundary, best_ll)
 
 

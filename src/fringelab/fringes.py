@@ -5,9 +5,8 @@ A fringe is the probability of one number-resolved outcome as a function
 of the interferometer phase. Every probability and derivative in the
 library comes from one kernel, :func:`output_amplitudes`, which evaluates
 the output amplitudes of all outcomes over a whole phase grid at once.
-Probabilities are exact; derivatives come from the phase generator. The
-one finite difference left in the library is the log-likelihood
-curvature behind the standard error of ``estimation.mle_phase``.
+Probabilities are exact; first and second derivatives come from the
+phase generator.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .fock import (
     PhysicsError,
     TwoModeState,
     beam_splitter_matrix,
+    generator_apply,
     number_difference,
 )
 from .states import build_state
@@ -87,6 +87,8 @@ class FringeModel:
                 f"{self.amplitude + self.offset}"
             )
         if self.kind == "noon-cosine":
+            if self.offset != 0.0:
+                raise PhysicsError(f"a noon-cosine fringe has no offset, got {self.offset}")
             top = self.amplitude * (1.0 + self.visibility)
             if top > 1.0 + _VALID_SLACK:
                 raise PhysicsError(
@@ -247,6 +249,24 @@ def _model_fringe(model: FringeModel, phi):
     state = _base_state(model.state_kind, model.total_photons)
     p0, rest0, dp0, _ = _one_fringe(state, model.outcome, phis)
     return a * p0 + b, a * rest0 + (1.0 - a - b), a * dp0
+
+
+def _curvatures(state: TwoModeState, phi):
+    """d^2p/dphi^2 of every outcome, 2 |A_h|^2 - 2 Re[conj(A) A_hh], where
+    A_hh = <m|B h^2 U(phi)|psi> is the kernel's A_h of the vector h psi."""
+    amp, amp_h = output_amplitudes(state, phi)
+    amp_hh = output_amplitudes(generator_apply(state), phi)[1]
+    return 2.0 * (np.abs(amp_h) ** 2 - np.real(np.conj(amp) * amp_hh))
+
+
+def _model_curvature(model: FringeModel, phi):
+    """d^2p/dphi^2 of the model fringe: a d^2p0/dphi^2 for the ideal and
+    affine families, -q V N^2 cos(N phi) for noon-cosine."""
+    n, a = model.total_photons, model.amplitude
+    if model.kind == "noon-cosine":
+        return -a * model.visibility * n * n * np.cos(n * np.asarray(phi))
+    d2p = _curvatures(_base_state(model.state_kind, n), phi)
+    return a * d2p[..., model.outcome.out_port_1]
 
 
 def apply_model(model: FringeModel, phi):

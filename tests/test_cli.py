@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fringelab import CountRecord, OutcomePattern, p33_closed_form
+from fringelab import (
+    CountRecord,
+    OutcomePattern,
+    fringe_probabilities,
+    hb_state,
+    p33_closed_form,
+)
 from fringelab.cli import (
     main,
     parse_config_blocks,
@@ -537,19 +543,80 @@ class TestConfigParsing:
             parse_config_blocks("detectors { k 5 }")
 
 
+_PLAN = {"state": "hb", "n": 6, "phases_deg": [15.0], "shots": 100, "seed": 5}
+_SIMULATE = ["simulate", "--plan", "{file}"]
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "text, argv, fragment",
+        [
+            (json.dumps({**_PLAN, "n": "abc"}), _SIMULATE, "plan n"),
+            (json.dumps({**_PLAN, "seed": -1}), _SIMULATE, "plan seed"),
+            (json.dumps({**_PLAN, "phases_deg": ["nan"]}), _SIMULATE, "phases_deg"),
+            (
+                "phi_deg,shots,counts\nabc,10,3:3=5\n",
+                ["estimate", "--counts", "{file}", "--outcome", "3:3",
+                 "--method", "mle"],
+                "phi_deg",
+            ),
+            (
+                "",
+                ["fringe", "--state", "hb", "--n", "6", "--outcome", "3:3",
+                 "--phi-end", "nan"],
+                "--phi-end",
+            ),
+        ],
+        ids=["plan-n-abc", "plan-negative-seed", "plan-nan-phase",
+             "counts-text-phase", "fringe-nan-end"],
+    )
+    def test_malformed_input_exits_2_with_one_line(
+        self, capsys, tmp_path, text, argv, fragment
+    ):
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = _run(capsys, [a.replace("{file}", str(path)) for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("fringelab: error: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert fragment in err
+
+
 class TestImports:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is needed only by the maximum-likelihood estimator; the
-        # CLI must not pay for importing it on every other command.
+    @staticmethod
+    def _python(code):
+        """Run ``code`` in a fresh interpreter that imports this fringelab."""
         import fringelab
 
         src = str(Path(fringelab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])
         )}
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import fringelab.cli, sys; assert 'scipy' not in sys.modules"],
+        return subprocess.run(
+            [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=60,
         )
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # The runtime depends on numpy alone; scipy is a test dependency.
+        result = self._python(
+            "import fringelab.cli, sys; assert 'scipy' not in sys.modules"
+        )
         assert result.returncode == 0, result.stderr
+
+    def test_mle_estimate_leaves_scipy_unloaded(self, tmp_path):
+        probs = fringe_probabilities(hb_state(6), math.radians(15.0))
+        counts = {OutcomePattern(k, 6 - k): int(1000 * p) for k, p in enumerate(probs)}
+        path = tmp_path / "counts.csv"
+        path.write_text(records_to_csv([CountRecord(0.0, 1000, counts)]))
+        argv = ["estimate", "--counts", str(path), "--outcome", "3:3", "--method", "mle"]
+        result = self._python(
+            "import sys\n"
+            "from fringelab.cli import main\n"
+            "for model in ('ideal', 'full'):\n"
+            f"    assert main({argv!r} + ['--model', model]) == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.count('"method": "mle"') == 2

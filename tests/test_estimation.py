@@ -29,6 +29,7 @@ from fringelab import (
 DEG = math.pi / 180.0
 P33 = OutcomePattern(3, 3)
 IDEAL33 = ideal_model("hb", 6, P33)
+NOON09 = noon_cosine_model(6, visibility=0.9)
 
 
 def _injected_records(model, phis, shots):
@@ -245,6 +246,22 @@ class TestDirectFisher:
             direct_fisher_from_data(records, P33, window=(0.05, 0.25))
 
 
+def _second_difference(loglik, phi, step=1e-4):
+    """Central second difference of a log-likelihood, taken on both sides
+    of phi even where phi is an edge of the search interval."""
+    return (loglik(phi + step) - 2.0 * loglik(phi) + loglik(phi - step)) / step**2
+
+
+def _binomial_loglik(model, hits, shots):
+    def loglik(phi):
+        p = apply_model(model, phi)
+        return (hits * math.log(p) if hits else 0.0) + (
+            (shots - hits) * math.log1p(-p) if shots > hits else 0.0
+        )
+
+    return loglik
+
+
 class TestMlePhase:
     INTERVAL = (0.0, 30.0 * DEG)
 
@@ -329,6 +346,73 @@ class TestMlePhase:
         assert result.at_boundary
         assert result.phi_hat == pytest.approx(10.0 * DEG, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "model, hits, shots, edge",
+        [
+            (IDEAL33, 100, 100, 0.0),
+            (IDEAL33, 10_000, 10_000, 0.0),
+            (NOON09, 100, 100, 0.0),
+            (NOON09, 10_000, 10_000, 0.0),
+            (NOON09, 0, 100, 30.0 * DEG),
+            (NOON09, 0, 10_000, 30.0 * DEG),
+        ],
+        ids=["ideal-crest-1e2", "ideal-crest-1e4", "noon-crest-1e2",
+             "noon-crest-1e4", "noon-dark-1e2", "noon-dark-1e4"],
+    )
+    def test_edge_maximum_error_bar_is_two_sided(self, model, hits, shots, edge):
+        # At a crest or dark point on the interval edge the log-likelihood
+        # is symmetric about the edge; its curvature there is the one read
+        # across the edge, not twice that (a one-sided second difference).
+        counts = {P33: hits} if hits else {}
+        records = [CountRecord(phi=0.0, shots=shots, outcome_counts=counts)]
+        result = mle_phase(records, model, self.INTERVAL)
+        assert result.phi_hat == edge
+        assert result.at_boundary
+        curvature = _second_difference(_binomial_loglik(model, hits, shots), edge)
+        assert result.stderr == pytest.approx(1.0 / math.sqrt(-curvature), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "model",
+        [IDEAL33, affine_from_visibility("hb", 6, P33, 0.94), NOON09],
+        ids=["ideal", "affine", "noon-cosine"],
+    )
+    def test_interior_stderr_matches_central_difference(self, model):
+        shots = 10_000
+        for deg in (4.0, 15.0, 26.0):
+            hits = round(float(apply_model(model, deg * DEG)) * shots)
+            records = [CountRecord(phi=0.0, shots=shots, outcome_counts={P33: hits})]
+            result = mle_phase(records, model, self.INTERVAL)
+            assert not result.at_boundary, deg
+            loglik = _binomial_loglik(model, hits, shots)
+            curvature = _second_difference(loglik, result.phi_hat)
+            assert result.stderr == pytest.approx(
+                1.0 / math.sqrt(-curvature), rel=1e-4
+            ), deg
+
+    def test_interior_multinomial_stderr_matches_central_difference(self):
+        state = hb_state(6)
+        for deg in (4.0, 15.0, 26.0):
+            counts = np.round(fringe_probabilities(state, deg * DEG) * 10_000)
+            records = [
+                CountRecord(
+                    phi=0.0,
+                    shots=int(counts.sum()),
+                    outcome_counts={
+                        OutcomePattern(k, 6 - k): float(c) for k, c in enumerate(counts)
+                    },
+                )
+            ]
+            result = mle_phase(records, state, self.INTERVAL)
+            assert not result.at_boundary, deg
+
+            def loglik(phi):
+                return float(counts @ np.log(fringe_probabilities(state, phi)))
+
+            curvature = _second_difference(loglik, result.phi_hat)
+            assert result.stderr == pytest.approx(
+                1.0 / math.sqrt(-curvature), rel=1e-4
+            ), deg
+
     def test_multinomial_estimate_from_simulated_run(self):
         plan = ExperimentPlan("hb", 6, (15.0 * DEG,), 2000, 6)
         records = simulate_counts(plan)
@@ -345,6 +429,12 @@ class TestMlePhase:
     def test_needs_records(self):
         with pytest.raises(PhysicsError, match="no count records"):
             mle_phase([], IDEAL33, self.INTERVAL)
+
+    def test_multinomial_rejects_patterns_of_another_photon_number(self):
+        counts = {OutcomePattern(2, 2): 300, P33: 700}
+        records = [CountRecord(phi=0.0, shots=1000, outcome_counts=counts)]
+        with pytest.raises(PhysicsError, match="2:2 has 4 photons"):
+            mle_phase(records, hb_state(6), self.INTERVAL)
 
     def test_multinomial_needs_events(self):
         records = [CountRecord(phi=0.0, shots=10, outcome_counts={})]

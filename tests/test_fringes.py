@@ -311,6 +311,13 @@ class TestFringeModel:
         with pytest.raises(PhysicsError):
             affine_model("hb", 6, O33, 0.9, 0.2)
 
+    def test_noon_cosine_offset_rejected(self):
+        # The noon-cosine fringe q (1 + V cos N phi) has no offset term, so
+        # a nonzero one would be silently ignored.
+        with pytest.raises(PhysicsError, match="offset"):
+            FringeModel("noon-cosine", "noon", 6, O33, 0.3, 0.5, 1.0)
+        assert noon_cosine_model(6).offset == 0.0
+
     def test_noon_crest_above_unit_rejected(self):
         with pytest.raises(PhysicsError):
             noon_cosine_model(6, visibility=1.0, amplitude=0.6)
