@@ -137,14 +137,23 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 
 
 def _number(raw, what: str, kind=float):
-    """``raw`` as a finite float or int (``kind``), else a usage error."""
+    """``raw`` as a finite float, or as an int when ``kind`` is int, else a
+    usage error. An int must be integral: 6 and 6.0 are 6, 6.7 is refused
+    rather than truncated."""
     try:
-        value = kind(raw)
+        value = float(raw)
     except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
         raise UsageError(f"{what} must be a finite number, got {raw!r}")
-    return value
+    if kind is float:
+        return value
+    if not value.is_integer():
+        raise UsageError(f"{what} must be a whole number, got {raw!r}")
+    try:
+        return int(raw)  # exact for ints and digit strings beyond 2^53
+    except ValueError:
+        return int(value)
 
 
 def _phase_grid(start: float, end: float, step: float) -> np.ndarray:
@@ -291,6 +300,8 @@ def records_from_json(text: str) -> tuple[list[CountRecord], int | None]:
             )
             for item in data["records"]
         ]
+    except PhysicsError:
+        raise  # a well-formed but physically invalid record, as in CSV
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed counts JSON: {exc}") from exc
     return records, data.get("seed")

@@ -211,7 +211,7 @@ def parity_expectation(state: TwoModeState, phi: float) -> float:
     return float(signs @ probs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _base_state(state_kind: str, total_photons: int) -> TwoModeState:
     return build_state(state_kind, total_photons)
 

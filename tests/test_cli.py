@@ -553,6 +553,8 @@ class TestExitContract:
         [
             (json.dumps({**_PLAN, "n": "abc"}), _SIMULATE, "plan n"),
             (json.dumps({**_PLAN, "seed": -1}), _SIMULATE, "plan seed"),
+            (json.dumps({**_PLAN, "n": 6.7}), _SIMULATE, "plan n"),
+            (json.dumps({**_PLAN, "shots": 100.9}), _SIMULATE, "plan shots"),
             (json.dumps({**_PLAN, "phases_deg": ["nan"]}), _SIMULATE, "phases_deg"),
             (
                 "phi_deg,shots,counts\nabc,10,3:3=5\n",
@@ -567,8 +569,9 @@ class TestExitContract:
                 "--phi-end",
             ),
         ],
-        ids=["plan-n-abc", "plan-negative-seed", "plan-nan-phase",
-             "counts-text-phase", "fringe-nan-end"],
+        ids=["plan-n-abc", "plan-negative-seed", "plan-fractional-n",
+             "plan-fractional-shots", "plan-nan-phase", "counts-text-phase",
+             "fringe-nan-end"],
     )
     def test_malformed_input_exits_2_with_one_line(
         self, capsys, tmp_path, text, argv, fragment
@@ -581,6 +584,35 @@ class TestExitContract:
         assert err.startswith("fringelab: error: ")
         assert err.count("\n") == 1 and err.endswith("\n")
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "phi_deg,shots,counts\n15,0,3:3=0\n",
+            json.dumps({"records": [{"phi_deg": 15, "shots": 0, "counts": {"3:3": 0}}]}),
+        ],
+        ids=["csv", "json"],
+    )
+    def test_zero_shots_is_a_physics_error_in_both_formats(self, capsys, tmp_path, text):
+        path = tmp_path / "counts"
+        path.write_text(text)
+        code, out, err = _run(
+            capsys,
+            ["estimate", "--counts", str(path), "--outcome", "3:3", "--method", "mle"],
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("fringelab: physics error: ")
+        assert err.count("\n") == 1 and "shots" in err
+
+    def test_integral_float_counts_as_an_integer(self, capsys, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**_PLAN, "n": 6.0, "shots": 100.0}))
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(_PLAN))
+        assert _run(capsys, ["simulate", "--plan", str(path)]) == _run(
+            capsys, ["simulate", "--plan", str(plain)]
+        )
 
 
 class TestImports:

@@ -99,6 +99,16 @@ class TestPortClickPmf:
                     pmf = port_click_pmf(photons, config)
                     assert abs(pmf.sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("photons", [1000, 4096])
+    def test_large_pulses_normalized_with_exact_mean(self, photons):
+        # Each counter stays dark with probability (1 - eta/k)^n.
+        config = DetectorArrayConfig(detectors_per_port=5, efficiency=0.9)
+        pmf = port_click_pmf(photons, config)
+        assert pmf.shape == (6,)
+        assert abs(pmf.sum() - 1.0) < 1e-10
+        mean = 5 * (1.0 - (1.0 - 0.9 / 5) ** photons)
+        assert pmf @ np.arange(6) == pytest.approx(mean, rel=1e-10)
+
     def test_perfect_single_counter_saturates(self):
         config = DetectorArrayConfig(detectors_per_port=1, efficiency=1.0)
         np.testing.assert_allclose(port_click_pmf(4, config), [0.0, 1.0], atol=0)

@@ -330,6 +330,23 @@ class TestClosedFormLimits:
         assert ratios[0] == pytest.approx(22.5 / 24.0, abs=1e-12)
         assert ratios[-1] < 0.25
 
+    @pytest.mark.parametrize("total", [64, 256, 1024])
+    def test_kernel_peaks_reach_the_closed_forms(self, total):
+        # The headline from the exact kernel up: the balanced fringe's peak
+        # single-fringe Fisher information is the NOON supremum, next to the
+        # dark point pi/N, and the Holland-Burnett limit N(N+2)/2, next to
+        # the bright point 0.
+        balanced = OutcomePattern(total // 2, total // 2)
+        for state, hi, expected in (
+            (noon_state(total), math.pi / total, noon_single_fringe_max(total)),
+            (hb_state(total), 4.0 / total, hb_limit(total)),
+        ):
+            _, peak = find_peak(
+                lambda phi: single_fringe_fisher(state, balanced, phi),
+                0.0, hi, hi / 64,
+            )
+            assert peak == pytest.approx(expected, rel=1e-10)
+
 
 class TestScalingTable:
     def test_small_rows(self):

@@ -116,11 +116,27 @@ class TestOutcomePattern:
 
 
 class TestBeamSplitter:
-    @pytest.mark.parametrize("total", range(1, 11))
+    @pytest.mark.parametrize("total", [*range(1, 11), 40, 100, 200])
     def test_matches_expansion_oracle(self, total):
         np.testing.assert_allclose(
-            beam_splitter_matrix(total), bs_matrix_oracle(total), atol=1e-12
+            beam_splitter_matrix(total), bs_matrix_oracle(total), atol=1e-13
         )
+
+    def test_symmetric_and_self_inverse_at_the_cap(self):
+        mat = beam_splitter_matrix(MAX_PHOTONS)
+        assert mat.shape == (MAX_PHOTONS + 1, MAX_PHOTONS + 1)
+        asym = max(
+            np.abs(mat[i : i + 512] - mat[:, i : i + 512].T).max()
+            for i in range(0, MAX_PHOTONS + 1, 512)
+        )
+        assert asym <= 1e-12
+        cols = [0, 1, 2, 1000, MAX_PHOTONS // 2 - 1, MAX_PHOTONS // 2,
+                3001, MAX_PHOTONS - 1, MAX_PHOTONS]
+        twice = mat @ mat[:, cols]
+        assert np.abs(twice - np.eye(MAX_PHOTONS + 1)[:, cols]).max() <= 1e-12
+
+    def test_cache_is_bounded(self):
+        assert beam_splitter_matrix.cache_info().maxsize is not None
 
     def test_hong_ou_mandel(self):
         out = beam_splitter(make_state(2, [0, 1, 0]))
