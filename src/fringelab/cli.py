@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -59,6 +59,11 @@ from .states import build_state
 
 class UsageError(Exception):
     """Bad flag combination or malformed input file (exit status 2)."""
+
+
+#: Longest phase grid a scan or a plan may ask for; a longer one is a
+#: usage error rather than an allocation failure.
+MAX_GRID_POINTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +103,24 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _csv_lines(rows) -> list[str]:
+    """CSV lines of ``rows``, through one format template taken from the
+    cell types of the first row: floats (numpy floats too) at 12
+    significant digits, every other column rendered by _fmt. The bytes
+    are those of joining _fmt of every cell."""
+    cells = [
+        column if isinstance(column[0], float) else [_fmt(c) for c in column]
+        for column in zip(*rows)
+    ]
+    template = ",".join(
+        "{:.12g}" if isinstance(column[0], float) else "{}" for column in cells
+    )
+    return [template.format(*row) for row in zip(*cells)]
+
+
 def _emit_table(args, columns, rows, meta=None) -> None:
     if args.format == "csv":
-        lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines = [",".join(columns), *_csv_lines(rows)]
         for key, value in (meta or {}).items():
             lines.append(f"# {key}={_fmt(value)}")
         text = "\n".join(lines) + "\n"
@@ -139,9 +158,9 @@ def _parse_range(text: str, flag: str) -> tuple[float, float]:
 def _number(raw, what: str, kind=float):
     """``raw`` as a finite float, or as an int when ``kind`` is int, else a
     usage error. An int must be integral: 6 and 6.0 are 6, 6.7 is refused
-    rather than truncated."""
+    rather than truncated. A JSON true or false is not a number."""
     try:
-        value = float(raw)
+        value = math.nan if isinstance(raw, bool) else float(raw)
     except (TypeError, ValueError, OverflowError):
         value = math.nan
     if not math.isfinite(value):
@@ -163,7 +182,12 @@ def _phase_grid(start: float, end: float, step: float) -> np.ndarray:
         raise UsageError(f"--phi-step must be positive, got {step}")
     if end < start:
         raise UsageError("--phi-end must not precede --phi-start")
-    count = int(math.floor((end - start) / step + 1e-9)) + 1
+    span = (end - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise UsageError(
+            f"the phase grid would hold more than {MAX_GRID_POINTS} points"
+        )
+    count = int(math.floor(span)) + 1
     return start + step * np.arange(count)
 
 
@@ -242,7 +266,7 @@ def records_to_json(records: list[CountRecord], seed: int | None = None) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _counts_value(raw: str):
+def _counts_value(raw):
     number = _number(raw, "an event count")
     return int(number) if number == int(number) else number
 
@@ -294,7 +318,7 @@ def records_from_json(text: str) -> tuple[list[CountRecord], int | None]:
                 phi=math.radians(_number(item["phi_deg"], "phi_deg")),
                 shots=_number(item["shots"], "shots", int),
                 outcome_counts={
-                    _parse_outcome(key): value
+                    _parse_outcome(key): _counts_value(value)
                     for key, value in item["counts"].items()
                 },
             )
@@ -634,7 +658,10 @@ def _add_grid_flags(parser, start: float, end: float, step: float) -> None:
                         help=f"scan step in degrees (default {step})")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later ``main`` call of the process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="fringelab",
         description="Exact two-mode photon-counting interferometry tables",

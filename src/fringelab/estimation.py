@@ -43,7 +43,8 @@ class ExperimentPlan:
     state's outcome distribution, optionally pushed through a detector
     array (events whose click total differs from N are discarded), or
     from ``model`` as a single-fringe binomial when a fringe model is
-    given instead.
+    given instead. A detector array with k counters per port cannot
+    record N > 2k photons, so such a plan is refused.
     """
 
     state_kind: str
@@ -59,6 +60,13 @@ class ExperimentPlan:
             raise PhysicsError("an experiment plan needs at least one phase")
         if self.shots < 1:
             raise PhysicsError(f"shots must be positive, got {self.shots}")
+        if self.model is None and self.detectors is not None:
+            k = self.detectors.detectors_per_port
+            if self.total_photons > 2 * k:
+                raise PhysicsError(
+                    f"no click pattern records N = {self.total_photons} photons "
+                    f"with {k} detectors per port (at most 2k = {2 * k})"
+                )
 
 
 def simulate_counts(plan: ExperimentPlan) -> list[CountRecord]:

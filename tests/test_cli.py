@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -18,6 +19,9 @@ from fringelab import (
     p33_closed_form,
 )
 from fringelab.cli import (
+    _emit_table,
+    _fmt,
+    build_parser,
     main,
     parse_config_blocks,
     read_counts,
@@ -105,6 +109,21 @@ class TestFringeCommand:
         with pytest.raises(SystemExit) as info:
             main(["fringe", "--state", "hb", "--n", "6"])
         assert info.value.code == 2
+
+    def test_argparse_error_leaves_the_next_command_unchanged(self, capsys):
+        band = [
+            "fisher", "--mode", "single", "--state", "hb", "--n", "6",
+            "--outcome", "3:3", "--model", "affine", "--visibility", "0.94",
+            "--band",
+        ]
+        build_parser.cache_clear()
+        alone = _run(capsys, band)
+        with pytest.raises(SystemExit) as info:
+            main(["fisher", "--mode", "bogus"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert _run(capsys, band) == alone
+        assert build_parser.cache_info().misses == 1
 
 
 class TestFisherCommand:
@@ -310,15 +329,31 @@ class TestSimulateCommand:
         config.write_text(
             "# detector array\ndetectors { k = 5, eta = 1.0 }\n"
         )
-        _, starved, _ = _run(capsys, ["simulate", "--plan", plan])
-        _, rows_starved, _ = _csv_rows(starved)
-        assert rows_starved[0][2] == ""
+        code, starved, _ = _run(capsys, ["simulate", "--plan", plan])
+        assert (code, starved) == (3, "")
         code, out, _ = _run(
             capsys, ["simulate", "--plan", plan, "--config", str(config)]
         )
         assert code == 0
         _, rows, _ = _csv_rows(out)
         assert rows[0][2] != ""
+
+    def test_plan_that_can_record_nothing_exits_3(self, capsys, tmp_path):
+        # k counters per port register at most 2k photons, so an N = 12
+        # plan with k = 5 has no click pattern to record; the check runs
+        # on the detectors left after a --config override.
+        plan = self._plan(tmp_path, n=12, detectors={"k": 5, "eta": 0.9})
+        code, out, err = _run(capsys, ["simulate", "--plan", plan])
+        assert (code, out) == (3, "")
+        assert err.startswith("fringelab: physics error: ")
+        assert err.count("\n") == 1
+        assert "N = 12" in err and "2k = 10" in err
+        config = tmp_path / "detectors.conf"
+        config.write_text("detectors { k = 6, eta = 0.9 }\n")
+        code, _, _ = _run(
+            capsys, ["simulate", "--plan", plan, "--config", str(config)]
+        )
+        assert code == 0
 
     def test_unknown_detector_key_exits_2(self, capsys, tmp_path):
         plan = self._plan(tmp_path)
@@ -525,6 +560,29 @@ class TestRecordSerialization:
         assert round_tripped[0].outcome_counts[P33] == 2.5
 
 
+class TestCsvTable:
+    COLUMNS = ["x", "np", "n", "flag", "nan", "inf", "zero", "name"]
+    ROWS = [
+        [0.1, np.float64(1.0) / 3.0, 2, True, math.nan, math.inf, -0.0, "3:3"],
+        [1e-300, np.float64(-2.5e20), 10**15, False, math.nan, -math.inf, 0.0, "a"],
+        [123456789.0123, np.float64(7.0), -4, True, math.nan, math.inf, -0.0, ""],
+    ]
+    META = {"peak": 24.0, "ok": True}
+
+    @staticmethod
+    def _per_cell(columns, rows, meta):
+        lines = [",".join(columns)]
+        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines.extend(f"# {key}={_fmt(value)}" for key, value in meta.items())
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("rows", [ROWS, []], ids=["typed", "empty"])
+    def test_matches_per_cell_formatting(self, capsys, rows):
+        args = argparse.Namespace(format="csv", out=None)
+        _emit_table(args, self.COLUMNS, rows, self.META)
+        assert capsys.readouterr().out == self._per_cell(self.COLUMNS, rows, self.META)
+
+
 class TestConfigParsing:
     def test_blocks_commas_and_comments(self):
         text = (
@@ -545,6 +603,12 @@ class TestConfigParsing:
 
 _PLAN = {"state": "hb", "n": 6, "phases_deg": [15.0], "shots": 100, "seed": 5}
 _SIMULATE = ["simulate", "--plan", "{file}"]
+_ESTIMATE = ["estimate", "--counts", "{file}", "--outcome", "3:3", "--method", "mle"]
+
+
+def _counts_json(value):
+    """A one-record counts file whose 3:3 count is the JSON text ``value``."""
+    return '{"records": [{"phi_deg": 15, "shots": 100, "counts": {"3:3": %s}}]}' % value
 
 
 class TestExitContract:
@@ -568,10 +632,21 @@ class TestExitContract:
                  "--phi-end", "nan"],
                 "--phi-end",
             ),
+            (json.dumps({**_PLAN, "shots": True}), _SIMULATE, "plan shots"),
+            (_counts_json("1e400"), _ESTIMATE, "event count"),
+            (_counts_json('"abc"'), _ESTIMATE, "event count"),
+            (_counts_json("true"), _ESTIMATE, "event count"),
+            (
+                "",
+                ["fringe", "--state", "hb", "--n", "6", "--outcome", "3:3",
+                 "--phi-end", "1e9", "--phi-step", "1e-9"],
+                "phase grid",
+            ),
         ],
         ids=["plan-n-abc", "plan-negative-seed", "plan-fractional-n",
              "plan-fractional-shots", "plan-nan-phase", "counts-text-phase",
-             "fringe-nan-end"],
+             "fringe-nan-end", "plan-bool-shots", "counts-json-inf",
+             "counts-json-text", "counts-json-bool", "fringe-oversized-grid"],
     )
     def test_malformed_input_exits_2_with_one_line(
         self, capsys, tmp_path, text, argv, fragment
@@ -634,6 +709,35 @@ class TestImports:
         # The runtime depends on numpy alone; scipy is a test dependency.
         result = self._python(
             "import fringelab.cli, sys; assert 'scipy' not in sys.modules"
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_parser_is_built_once_on_first_use(self):
+        # Importing builds nothing; the six commands of the N = 6 analysis
+        # session then share one parser.
+        session = [
+            ["fringe", "--state", "hb", "--n", "6", "--outcome", "3:3",
+             "--phi-end", "180", "--phi-step", "0.5"],
+            ["fisher", "--mode", "single", "--state", "hb", "--n", "6",
+             "--outcome", "3:3"],
+            ["fisher", "--mode", "single", "--state", "hb", "--n", "6",
+             "--outcome", "3:3", "--model", "affine", "--visibility", "0.94",
+             "--band"],
+            ["fisher", "--mode", "full", "--state", "hb", "--n", "6"],
+            ["fisher", "--mode", "single", "--state", "noon", "--n", "6",
+             "--outcome", "3:3"],
+            ["scaling", "--n-max", "100", "--asymptotic"],
+        ]
+        result = self._python(
+            "import contextlib, io\n"
+            "from fringelab.cli import build_parser, main\n"
+            "assert build_parser.cache_info().currsize == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {session!r}]\n"
+            "assert codes == [0] * 6, codes\n"
+            "info = build_parser.cache_info()\n"
+            "assert (info.misses, info.hits) == (1, 5), info\n"
         )
         assert result.returncode == 0, result.stderr
 

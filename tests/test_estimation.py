@@ -59,6 +59,12 @@ class TestExperimentPlan:
         with pytest.raises(PhysicsError):
             ExperimentPlan("hb", 6, (0.1,), 0, 7)
 
+    def test_detectors_must_be_able_to_record_n_photons(self):
+        config = DetectorArrayConfig(detectors_per_port=3, efficiency=0.9)
+        ExperimentPlan("hb", 6, (0.1,), 100, 7, detectors=config)
+        with pytest.raises(PhysicsError, match="2k = 6"):
+            ExperimentPlan("hb", 8, (0.1,), 100, 7, detectors=config)
+
 
 class TestSimulateCounts:
     def test_bright_fringe_is_deterministic(self):

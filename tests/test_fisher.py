@@ -347,6 +347,26 @@ class TestClosedFormLimits:
             )
             assert peak == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("total", [6, 8, 12, 20, 40])
+    def test_balanced_outcome_is_the_best_single_fringe(self, total):
+        # The headline over every outcome: no single fringe m:(N-m) beats
+        # the balanced one, whose peak is the closed form for each state.
+        for state, hi, expected in (
+            (noon_state(total), math.pi / total, noon_single_fringe_max(total)),
+            (hb_state(total), 4.0 / total, hb_limit(total)),
+        ):
+            peaks = [
+                find_peak(
+                    lambda phi: single_fringe_fisher(
+                        state, OutcomePattern(m, total - m), phi
+                    ),
+                    0.0, hi, hi / 64,
+                )[1]
+                for m in range(total + 1)
+            ]
+            assert int(np.argmax(peaks)) == total // 2
+            assert max(peaks) == pytest.approx(expected, rel=1e-10)
+
 
 class TestScalingTable:
     def test_small_rows(self):
