@@ -397,6 +397,15 @@ def _model_from_mapping(data: dict, state_kind: str, total_photons: int) -> Frin
     )
 
 
+def _json_typed(value, kind: type, what: str):
+    """``value`` when it is a JSON array (``kind`` list) or object (dict),
+    else a usage error."""
+    if not isinstance(value, kind):
+        name = "array" if kind is list else "object"
+        raise UsageError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def plan_from_dict(data: dict, detectors: DetectorArrayConfig | None = None) -> ExperimentPlan:
     """Build an ExperimentPlan from a decoded plan file; `detectors`
     (from --config) overrides the plan's own detector block."""
@@ -411,7 +420,8 @@ def plan_from_dict(data: dict, detectors: DetectorArrayConfig | None = None) -> 
     if seed < 0:
         raise UsageError(f"plan seed must not be negative, got {seed}")
     if "phases_deg" in data:
-        phases = tuple(math.radians(_number(x, "phases_deg")) for x in data["phases_deg"])
+        listed = _json_typed(data["phases_deg"], list, "plan phases_deg")
+        phases = tuple(math.radians(_number(x, "phases_deg")) for x in listed)
     else:
         grid = _phase_grid(
             _number(data.get("phi_start", 0.0), "plan phi_start"),
@@ -420,10 +430,14 @@ def plan_from_dict(data: dict, detectors: DetectorArrayConfig | None = None) -> 
         )
         phases = tuple(math.radians(float(x)) for x in grid)
     if detectors is None and "detectors" in data:
-        detectors = _detectors_from_mapping(data["detectors"])
+        detectors = _detectors_from_mapping(
+            _json_typed(data["detectors"], dict, "plan detectors")
+        )
     model = None
     if "model" in data:
-        model = _model_from_mapping(data["model"], state_kind, total_photons)
+        model = _model_from_mapping(
+            _json_typed(data["model"], dict, "plan model"), state_kind, total_photons
+        )
     return ExperimentPlan(
         state_kind=state_kind,
         total_photons=total_photons,
@@ -749,9 +763,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flags that take a negative value.
+_SIGNED_FLAGS = ("--phi-start", "--phi-end")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Pass '--phi-start -1e2' as '--phi-start=-1e2': argparse reads a
+    negative number written with an exponent as an option name."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _SIGNED_FLAGS and re.match(r"-\.?\d", arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_signed_values(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return int(args.func(args))
     except UsageError as exc:

@@ -91,10 +91,11 @@ def single_fringe_fisher(state: TwoModeState, outcome: OutcomePattern, phi):
     """Fisher information of the binary outcome/not-outcome measurement,
     (dp/dphi)^2 / (p (1 - p)); zero at removable singularities.
 
-    The complement 1 - p is accumulated from the other outcomes'
-    probabilities, which stays accurate even where p is within a few
-    ulps of 1 (the bright-fringe points where naive subtraction would
-    cancel catastrophically).
+    The complement 1 - p is the total probability of the other outcomes,
+    taken from one splitter row as the squared norm of what projecting on
+    the outcome leaves of the state (``fringes._one_fringe``). It stays
+    accurate even where p is within a few ulps of 1 (the bright-fringe
+    points where naive subtraction would cancel catastrophically).
     """
     p, rest, dp, _ = _one_fringe(state, outcome, phi)
     return _like_phi(_binary_fisher(p, rest, dp), phi)

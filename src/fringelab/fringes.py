@@ -2,9 +2,20 @@
 models with reduced visibility, and weighted least-squares fringe fits.
 
 A fringe is the probability of one number-resolved outcome as a function
-of the interferometer phase. Every probability and derivative in the
-library comes from one kernel, :func:`output_amplitudes`, which evaluates
-the output amplitudes of all outcomes over a whole phase grid at once.
+of the interferometer phase. Both kernels start from the same rotated
+state psi(phi) = U(phi)|psi>, one column per phase of a whole grid:
+
+- :func:`output_amplitudes` multiplies psi by the whole splitter and gives
+  every outcome's amplitude. ``full_fisher``, ``fringe_probabilities``,
+  ``fringe_derivatives``, the multinomial likelihood and
+  ``simulate_counts`` use it.
+- the one-row path (:func:`_one_fringe`) projects psi on the single
+  splitter row of the detected outcome, in O(N) per phase. Every
+  one-outcome quantity uses it: ``fringe_probability``,
+  ``fringe_derivative``, the fringe models, the single-fringe Fisher
+  information and the binomial likelihood. Its complement 1 - p is the
+  squared norm of what the projection leaves of psi, never 1 minus p.
+
 Probabilities are exact; first and second derivatives come from the
 phase generator.
 """
@@ -145,6 +156,22 @@ def _like_phi(value, phi):
     return float(value) if np.ndim(phi) == 0 else value
 
 
+@lru_cache(maxsize=4)
+def _generator_powers(total_photons: int) -> np.ndarray:
+    """Rows 1, h and h^2 of the phase generator h = (n1 - n2)/2 along the
+    basis, read-only."""
+    h = 0.5 * number_difference(total_photons)
+    powers = np.stack([np.ones_like(h), h, h * h])
+    powers.setflags(write=False)
+    return powers
+
+
+def _rotated(state: TwoModeState, phis: np.ndarray) -> np.ndarray:
+    """psi(phi) = U(phi)|psi>, one column per phase: shape (N+1, phis.size)."""
+    h = _generator_powers(state.total_photons)[1]
+    return state.amplitudes[:, None] * np.exp(-1j * h[:, None] * phis.ravel())
+
+
 def output_amplitudes(state: TwoModeState, phi):
     """Output amplitudes of every outcome at every phase (radians).
 
@@ -154,13 +181,12 @@ def output_amplitudes(state: TwoModeState, phi):
     outcome m is |A|^2 and its phase derivative is 2 Im[conj(A) A_h].
     """
     n = state.total_photons
-    h = 0.5 * number_difference(n)
     phis = np.asarray(phi, dtype=float)
     # One column per phase, for psi and for h psi. Viewed as floats, each
     # complex column is a real and an imaginary column, so the real
     # splitter multiplies them in one real product, never cast to complex.
-    psi = state.amplitudes[:, None] * np.exp(-1j * h[:, None] * phis.ravel())
-    cols = np.concatenate([psi, h[:, None] * psi], axis=1)
+    psi = _rotated(state, phis)
+    cols = np.concatenate([psi, _generator_powers(n)[1][:, None] * psi], axis=1)
     out = (beam_splitter_matrix(n) @ cols.view(float)).view(complex).T
     shape = phis.shape + (n + 1,)
     return out[: phis.size].reshape(shape), out[phis.size :].reshape(shape)
@@ -174,14 +200,12 @@ def _probability_and_slope(amp, amp_h):
 def fringe_probability(state: TwoModeState, outcome: OutcomePattern, phi):
     """Probability of detecting ``outcome`` after phase ``phi`` (radians)
     and the recombining beam splitter."""
-    row = _outcome_index(state, outcome)
-    return _like_phi(fringe_probabilities(state, phi)[..., row], phi)
+    return _like_phi(_one_fringe(state, outcome, phi)[0], phi)
 
 
 def fringe_derivative(state: TwoModeState, outcome: OutcomePattern, phi):
     """Analytic dp/dphi of the outcome fringe, via the phase generator."""
-    row = _outcome_index(state, outcome)
-    return _like_phi(fringe_derivatives(state, phi)[..., row], phi)
+    return _like_phi(_one_fringe(state, outcome, phi)[2], phi)
 
 
 def fringe_probabilities(state: TwoModeState, phi) -> np.ndarray:
@@ -216,14 +240,37 @@ def _base_state(state_kind: str, total_photons: int) -> TwoModeState:
     return build_state(state_kind, total_photons)
 
 
+def _row_amplitudes(state: TwoModeState, outcome: OutcomePattern, phi, order: int):
+    """The one-row kernel: psi(phi) as columns (see :func:`_rotated`), the
+    detection ket b = B[m] of the outcome, and A_j = <m|B h^j U(phi)|psi>
+    for j = 0..order, stacked as shape (order + 1,) + np.shape(phi).
+
+    B is real and symmetric, so each A_j is the dot product of psi with
+    h^j b, in O(N) per phase.
+    """
+    n = state.total_photons
+    phis = np.asarray(phi, dtype=float)
+    ket = beam_splitter_matrix(n)[_outcome_index(state, outcome)]
+    psi = _rotated(state, phis)
+    kets = _generator_powers(n)[: order + 1] * ket
+    amps = (kets @ psi.view(float)).view(complex)
+    return psi, ket, amps.reshape((order + 1,) + phis.shape)
+
+
 def _one_fringe(state: TwoModeState, outcome: OutcomePattern, phi):
-    """p, 1 - p summed over the other outcomes, dp/dphi and A_h of one
-    outcome, from one kernel call."""
-    row = _outcome_index(state, outcome)
-    amp, amp_h = output_amplitudes(state, phi)
-    rest = np.delete(np.abs(amp) ** 2, row, axis=-1).sum(axis=-1)
-    p, dp = _probability_and_slope(amp[..., row], amp_h[..., row])
-    return p, rest, dp, amp_h[..., row]
+    """p, 1 - p, dp/dphi and A_h of one outcome, from one splitter row.
+
+    The complement is the squared norm of the residual psi - A b, which
+    by the orthogonality of B is the sum of |A_k|^2 over the other
+    outcomes k; nothing is subtracted from 1.
+    """
+    psi, ket, (amp, amp_h) = _row_amplitudes(state, outcome, phi, 1)
+    resid = psi.view(float) - ket[:, None] * np.ravel(amp).view(float)
+    # Per phase, the squares of the real column plus those of the imaginary.
+    squares = np.einsum("ij,ij->j", resid, resid).reshape(-1, 2)
+    rest = squares.sum(axis=1).reshape(np.shape(amp))
+    p, dp = _probability_and_slope(amp, amp_h)
+    return p, rest, dp, amp_h
 
 
 def _model_fringe(model: FringeModel, phi):
@@ -251,22 +298,28 @@ def _model_fringe(model: FringeModel, phi):
     return a * p0 + b, a * rest0 + (1.0 - a - b), a * dp0
 
 
-def _curvatures(state: TwoModeState, phi):
-    """d^2p/dphi^2 of every outcome, 2 |A_h|^2 - 2 Re[conj(A) A_hh], where
-    A_hh = <m|B h^2 U(phi)|psi> is the kernel's A_h of the vector h psi."""
-    amp, amp_h = output_amplitudes(state, phi)
-    amp_hh = output_amplitudes(generator_apply(state), phi)[1]
+def _curvature(amp, amp_h, amp_hh):
+    """d^2p/dphi^2 = 2 |A_h|^2 - 2 Re[conj(A) A_hh], with
+    A_hh = <m|B h^2 U(phi)|psi>."""
     return 2.0 * (np.abs(amp_h) ** 2 - np.real(np.conj(amp) * amp_hh))
+
+
+def _curvatures(state: TwoModeState, phi):
+    """d^2p/dphi^2 of every outcome; A_hh is the all-outcome kernel's A_h
+    of the vector h psi."""
+    amp, amp_h = output_amplitudes(state, phi)
+    return _curvature(amp, amp_h, output_amplitudes(generator_apply(state), phi)[1])
 
 
 def _model_curvature(model: FringeModel, phi):
     """d^2p/dphi^2 of the model fringe: a d^2p0/dphi^2 for the ideal and
-    affine families, -q V N^2 cos(N phi) for noon-cosine."""
+    affine families, from one splitter row, and -q V N^2 cos(N phi) for
+    noon-cosine."""
     n, a = model.total_photons, model.amplitude
     if model.kind == "noon-cosine":
         return -a * model.visibility * n * n * np.cos(n * np.asarray(phi))
-    d2p = _curvatures(_base_state(model.state_kind, n), phi)
-    return a * d2p[..., model.outcome.out_port_1]
+    state = _base_state(model.state_kind, n)
+    return a * _curvature(*_row_amplitudes(state, model.outcome, phi, 2)[2])
 
 
 def apply_model(model: FringeModel, phi):

@@ -86,6 +86,26 @@ class TestFringeCommand:
         assert max(probs) <= 1.0
         assert min(probs) > 0.0  # the affine floor keeps the fringe bright
 
+    @pytest.mark.parametrize(
+        "grid, first, last",
+        [
+            (["--phi-start", "-1e2", "--phi-end", "0"], -100.0, 0.0),
+            (["--phi-start", "-3e2", "--phi-end", "-2.5E1"], -300.0, -30.0),
+        ],
+        ids=["start", "end"],
+    )
+    def test_negative_value_with_an_exponent(self, capsys, grid, first, last):
+        # argparse alone takes "-1e2" for an option name; both spellings of
+        # the flag must give the same bytes.
+        spaced = self.ARGS + grid + ["--phi-step", "10"]
+        joined = self.ARGS + [f"{k}={v}" for k, v in zip(grid[::2], grid[1::2])]
+        result = _run(capsys, spaced)
+        assert result == _run(capsys, joined + ["--phi-step", "10"])
+        code, out, _ = result
+        assert code == 0
+        _, rows, _ = _csv_rows(out)
+        assert (float(rows[0][0]), float(rows[-1][0])) == (first, last)
+
     def test_bad_step_exits_2(self, capsys):
         code, _, err = _run(capsys, self.ARGS + ["--phi-step", "0"])
         assert code == 2
@@ -642,11 +662,16 @@ class TestExitContract:
                  "--phi-end", "1e9", "--phi-step", "1e-9"],
                 "phase grid",
             ),
+            (json.dumps({**_PLAN, "phases_deg": 5}), _SIMULATE, "plan phases_deg"),
+            (json.dumps({**_PLAN, "detectors": 5}), _SIMULATE, "plan detectors"),
+            (json.dumps({**_PLAN, "model": "affine"}), _SIMULATE, "plan model"),
         ],
         ids=["plan-n-abc", "plan-negative-seed", "plan-fractional-n",
              "plan-fractional-shots", "plan-nan-phase", "counts-text-phase",
              "fringe-nan-end", "plan-bool-shots", "counts-json-inf",
-             "counts-json-text", "counts-json-bool", "fringe-oversized-grid"],
+             "counts-json-text", "counts-json-bool", "fringe-oversized-grid",
+             "plan-phases-not-list", "plan-detectors-not-object",
+             "plan-model-not-object"],
     )
     def test_malformed_input_exits_2_with_one_line(
         self, capsys, tmp_path, text, argv, fragment

@@ -330,7 +330,7 @@ class TestClosedFormLimits:
         assert ratios[0] == pytest.approx(22.5 / 24.0, abs=1e-12)
         assert ratios[-1] < 0.25
 
-    @pytest.mark.parametrize("total", [64, 256, 1024])
+    @pytest.mark.parametrize("total", [64, 256, 1024, 4096])
     def test_kernel_peaks_reach_the_closed_forms(self, total):
         # The headline from the exact kernel up: the balanced fringe's peak
         # single-fringe Fisher information is the NOON supremum, next to the

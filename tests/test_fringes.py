@@ -38,6 +38,7 @@ from fringelab import (
     single_fringe_fisher_model,
     snl_state,
 )
+from fringelab.fringes import _one_fringe
 
 from oracles import central_diff, random_states
 
@@ -149,6 +150,42 @@ class TestFringeDerivative:
         assert fringe_derivatives(hb_state(6), 0.9).sum() == pytest.approx(
             0.0, abs=1e-12
         )
+
+
+class TestOneRowPath:
+    """The one-outcome quantities come from one splitter row; they must
+    agree with that outcome's entries of the all-outcome kernel."""
+
+    @pytest.mark.parametrize("total", [6, 40, 200])
+    def test_matches_the_all_outcome_kernel(self, total):
+        phis = np.array([0.0, 1e-9, 0.37, 1.9, 3.0])
+        for amps in random_states(total, 2, np.random.default_rng(total)):
+            state = make_state(total, amps)
+            amp, amp_h = output_amplitudes(state, phis)
+            probs = fringe_probabilities(state, phis)
+            slopes = fringe_derivatives(state, phis)
+            for m in range(total + 1):
+                p, rest, dp, row_h = _one_fringe(
+                    state, OutcomePattern(m, total - m), phis
+                )
+                assert np.max(np.abs(p - np.abs(amp[:, m]) ** 2)) <= 1e-15
+                assert np.max(np.abs(row_h - amp_h[:, m])) <= 1e-15 * total
+                assert np.max(np.abs(dp - slopes[:, m])) <= 1e-14 * total
+                others = np.delete(probs, m, axis=-1).sum(axis=-1)
+                assert np.max(np.abs(rest / others - 1.0)) <= 1e-13
+
+    def test_hb6_complement_matches_the_closed_form(self):
+        # 1 - p = (1 - g)(1 + g) with g = 5/8 cos(3 phi) + 3/8 cos(phi);
+        # each factor is written as a sum of squares, so that neither
+        # cancels next to the bright points 0 and pi.
+        phis = np.concatenate(
+            [np.geomspace(1e-9, 1e-2, 15), np.linspace(0.01, math.pi, 64)]
+        )
+        half = np.multiply.outer([1.5, 0.5], phis)
+        weights = np.array([1.25, 0.75])
+        closed = (weights @ np.sin(half) ** 2) * (weights @ np.cos(half) ** 2)
+        rest = _one_fringe(hb_state(6), O33, phis)[1]
+        assert np.max(np.abs(rest / closed - 1.0)) <= 1e-12
 
 
 class TestP33ClosedForm:

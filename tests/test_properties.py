@@ -1,4 +1,4 @@
-"""Property tests of the single-fringe evaluator.
+"""Property tests of the single-fringe evaluator and its Fisher information.
 
 Hypothesis draws are derandomized, so every run checks the same examples.
 """
@@ -65,3 +65,13 @@ def test_probability_and_complement_sum_to_one(fringe, phi, weight, share):
     for model in models:
         p, rest, _ = _model_fringe(model, phi)
         assert abs(p + rest - 1.0) <= 1e-13, model
+
+
+@DETERMINISTIC
+@given(fringe=fringes(), phi=PHASES)
+def test_single_fringe_fisher_stays_under_the_outcome_ceiling(fringe, phi):
+    # No single fringe carries more than <m|(n1 - n2)^2|m> = 2 n1 n2 + N.
+    kind, total, outcome = fringe
+    ceiling = 2 * outcome.out_port_1 * outcome.out_port_2 + total
+    value = single_fringe_fisher(build_state(kind, total), outcome, phi)
+    assert value <= ceiling * (1.0 + 1e-12)
