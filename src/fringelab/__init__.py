@@ -2,10 +2,9 @@
 
 The package simulates photon-counting interferometry in a single
 total-photon-number sector: state preparation (dual Fock, Holland
-Burnett, NOON, and the uncorrelated shot-noise benchmark), exact beam
-splitter and phase-shift transforms, detection fringes and their Fisher
-information, click-detector arrays, and seeded Monte Carlo estimation
-pipelines.
+Burnett, NOON, and the uncorrelated shot-noise benchmark), the exact beam
+splitter, detection fringes and their Fisher information, click-detector
+arrays, and seeded Monte Carlo estimation pipelines.
 """
 
 from .detection import (
@@ -13,7 +12,6 @@ from .detection import (
     click_distribution,
     port_click_pmf,
     resolve_probability,
-    sixfold_selection_rate,
 )
 from .estimation import (
     DirectFisherResult,
@@ -49,10 +47,8 @@ from .fock import (
     beam_splitter_matrix,
     generator_apply,
     generator_variance,
-    inner_product,
     make_state,
     number_difference,
-    phase_shift,
 )
 from .fringes import (
     DEFAULT_FRINGE_PEAK,
@@ -63,17 +59,12 @@ from .fringes import (
     affine_model,
     apply_model,
     fit_fringe,
-    fringe_derivative,
-    fringe_derivatives,
     fringe_probabilities,
     fringe_probability,
-    fringe_visibility,
     ideal_model,
-    model_derivative,
     noon_cosine_model,
     output_amplitudes,
     p33_closed_form,
-    parity_expectation,
 )
 from .states import build_state, dual_fock, hb_state, noon_state, snl_state
 
@@ -106,21 +97,16 @@ __all__ = [
     "dual_fock",
     "find_peak",
     "fit_fringe",
-    "fringe_derivative",
-    "fringe_derivatives",
     "fringe_probabilities",
     "fringe_probability",
-    "fringe_visibility",
     "full_fisher",
     "generator_apply",
     "generator_variance",
     "hb_limit",
     "hb_state",
     "ideal_model",
-    "inner_product",
     "make_state",
     "mle_phase",
-    "model_derivative",
     "model_fisher_sigma",
     "noon_asymptotic",
     "noon_cosine_model",
@@ -131,15 +117,12 @@ __all__ = [
     "output_amplitudes",
     "output_uncertainty_bound",
     "p33_closed_form",
-    "parity_expectation",
-    "phase_shift",
     "port_click_pmf",
     "resolve_probability",
     "scaling_table",
     "simulate_counts",
     "single_fringe_fisher",
     "single_fringe_fisher_model",
-    "sixfold_selection_rate",
     "snl_comparison",
     "snl_state",
 ]

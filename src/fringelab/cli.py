@@ -488,11 +488,16 @@ def cmd_fisher(args) -> int:
             band = model_fisher_sigma(model, cov, np.radians(grid_deg))
 
     values = fun(np.radians(grid_deg))
-    lo_rad = math.radians(args.phi_start)
-    hi_rad = math.radians(args.phi_end)
-    peak_phi, peak_value = find_peak(fun, lo_rad, hi_rad)
+    if args.phi_start == args.phi_end:
+        # A one-point grid has no interval to search: its point is the peak.
+        peak_deg, peak_value = args.phi_start, float(values[0])
+    else:
+        lo_rad = math.radians(args.phi_start)
+        hi_rad = math.radians(args.phi_end)
+        peak_phi, peak_value = find_peak(fun, lo_rad, hi_rad)
+        peak_deg = math.degrees(peak_phi)
     meta = {
-        "peak_phi_deg": math.degrees(peak_phi),
+        "peak_phi_deg": peak_deg,
         "peak_fisher": peak_value,
         "snl_ratio": snl_comparison(peak_value, args.n),
     }
@@ -785,6 +790,9 @@ def main(argv: list[str] | None = None) -> int:
         _attach_signed_values(sys.argv[1:] if argv is None else argv)
     )
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _number(value, "--" + name.replace("_", "-"))
         return int(args.func(args))
     except UsageError as exc:
         print(f"fringelab: error: {exc}", file=sys.stderr)

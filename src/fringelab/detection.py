@@ -84,15 +84,6 @@ def port_click_pmf(photons: int, config: DetectorArrayConfig) -> np.ndarray:
     return _click_table(photons, config)[photons].copy()
 
 
-def sixfold_selection_rate(probability: float, config: DetectorArrayConfig) -> float:
-    """Rate at which a (3,3) event of probability p is registered as
-    three clicks on each port: p * resolve_probability(3)^2."""
-    if not 0.0 <= probability <= 1.0 + 1e-12:
-        raise PhysicsError(f"probability must lie in [0, 1], got {probability}")
-    r3 = resolve_probability(3, config)
-    return probability * r3 * r3
-
-
 def click_distribution(
     outcome_probs: dict[OutcomePattern, float], config: DetectorArrayConfig
 ) -> dict[tuple[int, int], float]:

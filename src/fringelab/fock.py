@@ -203,13 +203,6 @@ def beam_splitter(state: TwoModeState) -> TwoModeState:
     )
 
 
-def phase_shift(state: TwoModeState, phi: float) -> TwoModeState:
-    """Apply exp(-i*phi*h) with generator h = (n1 - n2)/2, phi in radians."""
-    h = 0.5 * number_difference(state.total_photons)
-    amps = state.amplitudes * np.exp(-1j * phi * h)
-    return TwoModeState(state.total_photons, amps, renormalized=state.renormalized)
-
-
 def generator_apply(state: TwoModeState) -> TwoModeState:
     """Multiply each amplitude by the generator eigenvalue (n1 - n2)/2.
 
@@ -229,12 +222,3 @@ def generator_variance(state: TwoModeState) -> float:
     mean = float(p @ d)
     return float(p @ (d * d)) - mean * mean
 
-
-def inner_product(bra: TwoModeState, ket: TwoModeState) -> complex:
-    """<bra|ket>; the first argument is conjugated."""
-    if bra.total_photons != ket.total_photons:
-        raise PhysicsError(
-            f"inner product needs equal photon numbers, got "
-            f"{bra.total_photons} and {ket.total_photons}"
-        )
-    return complex(np.vdot(bra.amplitudes, ket.amplitudes))

@@ -7,14 +7,13 @@ state psi(phi) = U(phi)|psi>, one column per phase of a whole grid:
 
 - :func:`output_amplitudes` multiplies psi by the whole splitter and gives
   every outcome's amplitude. ``full_fisher``, ``fringe_probabilities``,
-  ``fringe_derivatives``, the multinomial likelihood and
-  ``simulate_counts`` use it.
+  the multinomial likelihood and ``simulate_counts`` use it.
 - the one-row path (:func:`_one_fringe`) projects psi on the single
   splitter row of the detected outcome, in O(N) per phase. Every
-  one-outcome quantity uses it: ``fringe_probability``,
-  ``fringe_derivative``, the fringe models, the single-fringe Fisher
-  information and the binomial likelihood. Its complement 1 - p is the
-  squared norm of what the projection leaves of psi, never 1 minus p.
+  one-outcome quantity uses it: ``fringe_probability``, the fringe
+  models, the single-fringe Fisher information and the binomial
+  likelihood. Its complement 1 - p is the squared norm of what the
+  projection leaves of psi, never 1 minus p.
 
 Probabilities are exact; first and second derivatives come from the
 phase generator.
@@ -203,20 +202,10 @@ def fringe_probability(state: TwoModeState, outcome: OutcomePattern, phi):
     return _like_phi(_one_fringe(state, outcome, phi)[0], phi)
 
 
-def fringe_derivative(state: TwoModeState, outcome: OutcomePattern, phi):
-    """Analytic dp/dphi of the outcome fringe, via the phase generator."""
-    return _like_phi(_one_fringe(state, outcome, phi)[2], phi)
-
-
 def fringe_probabilities(state: TwoModeState, phi) -> np.ndarray:
     """All N+1 outcome probabilities at each phase (they sum to 1)."""
     amp, _ = output_amplitudes(state, phi)
     return np.abs(amp) ** 2
-
-
-def fringe_derivatives(state: TwoModeState, phi) -> np.ndarray:
-    """Analytic dp/dphi for all N+1 outcomes at each phase (they sum to 0)."""
-    return _probability_and_slope(*output_amplitudes(state, phi))[1]
 
 
 def p33_closed_form(phi):
@@ -226,13 +215,6 @@ def p33_closed_form(phi):
     g = 0.625 * np.cos(3.0 * phi) + 0.375 * np.cos(phi)
     out = g * g
     return float(out) if out.ndim == 0 else out
-
-
-def parity_expectation(state: TwoModeState, phi: float) -> float:
-    """Expectation of the port-1 photon parity, +1 for even n1, -1 for odd."""
-    probs = fringe_probabilities(state, phi)
-    signs = np.where(np.arange(state.total_photons + 1) % 2 == 0, 1.0, -1.0)
-    return float(signs @ probs)
 
 
 @lru_cache(maxsize=16)
@@ -328,11 +310,6 @@ def apply_model(model: FringeModel, phi):
     return _like_phi(_model_fringe(model, phi)[0], phi)
 
 
-def model_derivative(model: FringeModel, phi):
-    """Analytic dp/dphi of the model fringe."""
-    return _like_phi(_model_fringe(model, phi)[2], phi)
-
-
 def ideal_model(state_kind: str, total_photons: int, outcome: OutcomePattern) -> FringeModel:
     return FringeModel("ideal", state_kind, total_photons, outcome)
 
@@ -392,16 +369,6 @@ def noon_cosine_model(
     return FringeModel(
         "noon-cosine", "noon", total_photons, outcome, amplitude, 0.0, visibility
     )
-
-
-def fringe_visibility(model: FringeModel, samples: int = 4096) -> float:
-    """Contrast (p_max - p_min)/(p_max + p_min) scanned over one period."""
-    phis = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    p = apply_model(model, phis)
-    top, bot = float(np.max(p)), float(np.min(p))
-    if top + bot == 0.0:
-        return 0.0
-    return (top - bot) / (top + bot)
 
 
 @dataclass(frozen=True)

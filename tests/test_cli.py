@@ -208,6 +208,21 @@ class TestFisherCommand:
         assert max(values) - min(values) < 1e-8
         assert values[0] == pytest.approx(24.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "mode", [["single", "--outcome", "3:3"], ["full"]], ids=["single", "full"]
+    )
+    def test_one_point_grid_is_its_own_peak(self, capsys, mode):
+        code, out, err = _run(
+            capsys,
+            ["fisher", "--mode", *mode, "--state", "hb", "--n", "6",
+             "--phi-start", "1", "--phi-end", "1", "--format", "json"],
+        )
+        assert code == 0
+        assert err.startswith("peak: phi_deg=1 ")
+        payload = json.loads(out)
+        meta, rows = payload["meta"], payload["rows"]
+        assert rows == [[1.0, meta["peak_fisher"]]] and meta["peak_phi_deg"] == 1.0
+
     def test_band_requires_a_contrast_model(self, capsys):
         code, _, err = _run(
             capsys,
@@ -624,6 +639,7 @@ class TestConfigParsing:
 _PLAN = {"state": "hb", "n": 6, "phases_deg": [15.0], "shots": 100, "seed": 5}
 _SIMULATE = ["simulate", "--plan", "{file}"]
 _ESTIMATE = ["estimate", "--counts", "{file}", "--outcome", "3:3", "--method", "mle"]
+_HB6 = ["--state", "hb", "--n", "6", "--outcome", "3:3"]
 
 
 def _counts_json(value):
@@ -665,13 +681,24 @@ class TestExitContract:
             (json.dumps({**_PLAN, "phases_deg": 5}), _SIMULATE, "plan phases_deg"),
             (json.dumps({**_PLAN, "detectors": 5}), _SIMULATE, "plan detectors"),
             (json.dumps({**_PLAN, "model": "affine"}), _SIMULATE, "plan model"),
+            ("", ["fringe", *_HB6, "--model", "noon-cosine", "--amplitude", "nan"],
+             "--amplitude must be a finite number"),
+            (
+                "",
+                ["fisher", "--mode", "single", *_HB6, "--model", "affine", "--band",
+                 "--visibility-sigma", "nan"],
+                "--visibility-sigma must be a finite number",
+            ),
+            ("", ["fringe", *_HB6, "--model", "affine", "--visibility", "inf"],
+             "--visibility must be a finite number"),
         ],
         ids=["plan-n-abc", "plan-negative-seed", "plan-fractional-n",
              "plan-fractional-shots", "plan-nan-phase", "counts-text-phase",
              "fringe-nan-end", "plan-bool-shots", "counts-json-inf",
              "counts-json-text", "counts-json-bool", "fringe-oversized-grid",
              "plan-phases-not-list", "plan-detectors-not-object",
-             "plan-model-not-object"],
+             "plan-model-not-object", "fringe-nan-amplitude",
+             "fisher-nan-visibility-sigma", "fringe-inf-visibility"],
     )
     def test_malformed_input_exits_2_with_one_line(
         self, capsys, tmp_path, text, argv, fragment
@@ -729,6 +756,13 @@ class TestImports:
             [sys.executable, "-c", code],
             env=env, capture_output=True, text=True, timeout=60,
         )
+
+    def test_all_names_exactly_the_public_surface(self):
+        import fringelab
+
+        star = {}
+        exec("from fringelab import *", star)  # raises on a name that is not there
+        assert sorted(set(star) - {"__builtins__"}) == sorted(fringelab.__all__)
 
     def test_cli_import_leaves_scipy_unloaded(self):
         # The runtime depends on numpy alone; scipy is a test dependency.

@@ -1,7 +1,5 @@
 """Tests for the multiplexed click-detector model."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from fringelab import (
     hb_state,
     port_click_pmf,
     resolve_probability,
-    sixfold_selection_rate,
 )
 
 from oracles import click_pmf_enumerate, joint_clicks_enumerate
@@ -55,7 +52,7 @@ class TestResolveProbability:
             resolve_probability(-1, FIVE)
 
     @pytest.mark.parametrize("photons", [0, 1, 2, 3])
-    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     def test_matches_enumeration(self, photons, eta):
         config = DetectorArrayConfig(detectors_per_port=4, efficiency=eta)
         pmf = click_pmf_enumerate(photons, 4, eta)
@@ -118,22 +115,6 @@ class TestPortClickPmf:
         pmf = port_click_pmf(3, config)
         assert pmf[0] == 1.0
         assert np.all(pmf[1:] == 0.0)
-
-
-class TestSixfoldSelectionRate:
-    def test_reference_rate(self):
-        assert sixfold_selection_rate(1.0, FIVE) == pytest.approx(0.2304, abs=1e-15)
-
-    def test_zero_probability(self):
-        assert sixfold_selection_rate(0.0, FIVE) == 0.0
-
-    def test_dead_detectors(self):
-        dead = DetectorArrayConfig(detectors_per_port=5, efficiency=0.0)
-        assert sixfold_selection_rate(1.0, dead) == 0.0
-
-    def test_probability_validated(self):
-        with pytest.raises(PhysicsError):
-            sixfold_selection_rate(1.5, FIVE)
 
 
 class TestClickDistribution:

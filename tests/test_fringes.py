@@ -16,29 +16,24 @@ from fringelab import (
     apply_model,
     dual_fock,
     fit_fringe,
-    fringe_derivative,
-    fringe_derivatives,
     fringe_probabilities,
     fringe_probability,
-    fringe_visibility,
     full_fisher,
     hb_state,
     ideal_model,
     make_state,
-    model_derivative,
     model_fisher_sigma,
     noon_cosine_model,
     noon_state,
     optimality_certificate,
     output_amplitudes,
     p33_closed_form,
-    parity_expectation,
     simulate_counts,
     single_fringe_fisher,
     single_fringe_fisher_model,
     snl_state,
 )
-from fringelab.fringes import _one_fringe
+from fringelab.fringes import _model_fringe, _one_fringe, _probability_and_slope
 
 from oracles import central_diff, random_states
 
@@ -52,6 +47,18 @@ def _closed_form_g(phi: float) -> float:
 
 def _closed_form_g_prime(phi: float) -> float:
     return -1.875 * math.sin(3 * phi) - 0.375 * math.sin(phi)
+
+
+def parity_expectation(state, phi):
+    """Expectation of the port-1 photon parity, +1 for even n1, -1 for odd."""
+    signs = (-1.0) ** np.arange(state.total_photons + 1)
+    return float(signs @ fringe_probabilities(state, phi))
+
+
+def fringe_visibility(model, samples=4096):
+    """Contrast (p_max - p_min)/(p_max + p_min), scanned over one period."""
+    p = apply_model(model, np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
+    return (p.max() - p.min()) / (p.max() + p.min())
 
 
 class TestFringeProbability:
@@ -108,14 +115,14 @@ class TestFringeProbability:
 
 class TestFringeDerivative:
     def test_extremum_at_zero(self):
-        assert fringe_derivative(hb_state(6), O33, 0.0) == pytest.approx(
+        assert _one_fringe(hb_state(6), O33, 0.0)[2] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_closed_form_at_15_degrees(self):
         phi = 15 * DEG
         expected = 2.0 * _closed_form_g(phi) * _closed_form_g_prime(phi)
-        assert fringe_derivative(hb_state(6), O33, phi) == pytest.approx(
+        assert _one_fringe(hb_state(6), O33, phi)[2] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -126,7 +133,7 @@ class TestFringeDerivative:
             numeric = central_diff(
                 lambda x: fringe_probability(state, outcome, x), phi
             )
-            assert fringe_derivative(state, outcome, phi) == pytest.approx(
+            assert _one_fringe(state, outcome, phi)[2] == pytest.approx(
                 numeric, abs=1e-6
             )
 
@@ -142,14 +149,13 @@ class TestFringeDerivative:
                         fringe_probabilities(state, phi + step)
                         - fringe_probabilities(state, phi - step)
                     ) / (2 * step)
-                    analytic = fringe_derivatives(state, phi)
+                    analytic = _probability_and_slope(*output_amplitudes(state, phi))[1]
                     worst = max(worst, float(np.max(np.abs(analytic - numeric))))
         assert worst < 1e-6
 
     def test_derivatives_sum_to_zero(self):
-        assert fringe_derivatives(hb_state(6), 0.9).sum() == pytest.approx(
-            0.0, abs=1e-12
-        )
+        slopes = _probability_and_slope(*output_amplitudes(hb_state(6), 0.9))[1]
+        assert slopes.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 class TestOneRowPath:
@@ -163,7 +169,7 @@ class TestOneRowPath:
             state = make_state(total, amps)
             amp, amp_h = output_amplitudes(state, phis)
             probs = fringe_probabilities(state, phis)
-            slopes = fringe_derivatives(state, phis)
+            slopes = _probability_and_slope(amp, amp_h)[1]
             for m in range(total + 1):
                 p, rest, dp, row_h = _one_fringe(
                     state, OutcomePattern(m, total - m), phis
@@ -278,7 +284,7 @@ class TestFringeModel:
         for model in models:
             for phi in (0.2, 0.9, 1.7):
                 numeric = central_diff(lambda x: apply_model(model, x), phi)
-                assert model_derivative(model, phi) == pytest.approx(
+                assert _model_fringe(model, phi)[2] == pytest.approx(
                     numeric, abs=1e-7
                 )
 
@@ -295,14 +301,16 @@ class TestFringeModel:
                 output_amplitudes(state, phi), axis=-2
             ),
             "fringe_probability": lambda phi: fringe_probability(state, O33, phi),
-            "fringe_derivative": lambda phi: fringe_derivative(state, O33, phi),
+            "_one_fringe": lambda phi: _one_fringe(state, O33, phi)[2],
             "fringe_probabilities": lambda phi: fringe_probabilities(state, phi),
-            "fringe_derivatives": lambda phi: fringe_derivatives(state, phi),
+            "_probability_and_slope": lambda phi: _probability_and_slope(
+                *output_amplitudes(state, phi)
+            )[1],
             "p33_closed_form": p33_closed_form,
             "apply_model affine": lambda phi: apply_model(affine, phi),
             "apply_model cosine": lambda phi: apply_model(cosine, phi),
-            "model_derivative affine": lambda phi: model_derivative(affine, phi),
-            "model_derivative cosine": lambda phi: model_derivative(cosine, phi),
+            "_model_fringe affine": lambda phi: _model_fringe(affine, phi)[2],
+            "_model_fringe cosine": lambda phi: _model_fringe(cosine, phi)[2],
             "full_fisher hb": lambda phi: full_fisher(hb_state(6), phi),
             "full_fisher": lambda phi: full_fisher(state, phi),
             "single_fringe_fisher hb": lambda phi: single_fringe_fisher(

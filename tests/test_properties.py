@@ -1,23 +1,31 @@
-"""Property tests of the single-fringe evaluator and its Fisher information.
+"""Property tests of the fringe kernels, the splitter and the counts files.
 
 Hypothesis draws are derandomized, so every run checks the same examples.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fringelab import (
+    CountRecord,
     OutcomePattern,
     affine_model,
+    beam_splitter_matrix,
     build_state,
     ideal_model,
+    make_state,
     noon_cosine_model,
+    output_amplitudes,
     single_fringe_fisher,
     single_fringe_fisher_model,
 )
-from fringelab.fringes import _model_fringe
+from fringelab.cli import records_from_csv, records_from_json, records_to_csv, records_to_json
+from fringelab.fringes import _model_fringe, _probability_and_slope
+
+from oracles import random_states
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
 
@@ -75,3 +83,48 @@ def test_single_fringe_fisher_stays_under_the_outcome_ceiling(fringe, phi):
     ceiling = 2 * outcome.out_port_1 * outcome.out_port_2 + total
     value = single_fringe_fisher(build_state(kind, total), outcome, phi)
     assert value <= ceiling * (1.0 + 1e-12)
+
+
+@DETERMINISTIC
+@given(
+    total=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    phis=st.lists(PHASES, min_size=1, max_size=8),
+)
+def test_outcomes_are_complete(total, seed, phis):
+    # Over all outcomes the probabilities sum to 1 and their slopes to 0.
+    state = make_state(total, random_states(total, 1, np.random.default_rng(seed))[0])
+    p, dp = _probability_and_slope(*output_amplitudes(state, np.array(phis)))
+    assert np.max(np.abs(p.sum(axis=-1) - 1.0)) <= 1e-13
+    assert np.max(np.abs(dp.sum(axis=-1))) <= 1e-14 * total
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(total=st.integers(min_value=0, max_value=512))
+def test_splitter_is_symmetric_and_self_inverse(total):
+    mat = beam_splitter_matrix(total)
+    assert np.max(np.abs(mat - mat.T)) <= 1e-13
+    assert np.max(np.abs(mat @ mat - np.eye(total + 1))) <= 1e-13
+
+
+@st.composite
+def count_records(draw):
+    """A count record with integer counts of some outcomes of N <= 8."""
+    total = draw(st.integers(min_value=0, max_value=8))
+    outcomes = st.integers(min_value=0, max_value=total).map(
+        lambda n1: OutcomePattern(n1, total - n1)
+    )
+    counts = draw(st.dictionaries(outcomes, st.integers(min_value=0, max_value=10**6)))
+    shots = sum(counts.values()) + draw(st.integers(min_value=1, max_value=10**6))
+    return CountRecord(draw(st.floats(min_value=-10.0, max_value=10.0)), shots, counts)
+
+
+@DETERMINISTIC
+@given(
+    records=st.lists(count_records(), max_size=5),
+    seed=st.none() | st.integers(min_value=0, max_value=2**63 - 1),
+)
+def test_counts_files_read_back_alike_in_csv_and_json(records, seed):
+    from_csv = records_from_csv(records_to_csv(records, seed))
+    assert from_csv == records_from_json(records_to_json(records, seed))
+    assert from_csv[1] == seed
