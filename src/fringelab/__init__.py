@@ -45,7 +45,6 @@ from .fock import (
     basis_state,
     beam_splitter,
     beam_splitter_matrix,
-    generator_apply,
     generator_variance,
     make_state,
     number_difference,
@@ -100,7 +99,6 @@ __all__ = [
     "fringe_probabilities",
     "fringe_probability",
     "full_fisher",
-    "generator_apply",
     "generator_variance",
     "hb_limit",
     "hb_state",

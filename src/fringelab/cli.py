@@ -53,6 +53,7 @@ from .fringes import (
     fit_fringe,
     ideal_model,
     noon_cosine_model,
+    _MODEL_KINDS,
 )
 from .states import build_state
 
@@ -176,8 +177,6 @@ def _number(raw, what: str, kind=float):
 
 
 def _phase_grid(start: float, end: float, step: float) -> np.ndarray:
-    if not all(map(math.isfinite, (start, end, step))):
-        raise UsageError("--phi-start, --phi-end and --phi-step must be finite")
     if step <= 0:
         raise UsageError(f"--phi-step must be positive, got {step}")
     if end < start:
@@ -627,10 +626,10 @@ def cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_output_flags(parser, formats=("csv", "json")) -> None:
+def _add_output_flags(parser) -> None:
     parser.add_argument(
-        "--format", choices=formats, default=formats[0],
-        help=f"output format (default {formats[0]})",
+        "--format", choices=("csv", "json"), default="csv",
+        help="output format (default csv)",
     )
     parser.add_argument(
         "--out", default=None, metavar="FILE",
@@ -648,11 +647,9 @@ def _add_state_flags(parser) -> None:
     )
 
 
-def _add_model_flags(parser) -> None:
-    parser.add_argument(
-        "--model", choices=("ideal", "affine", "noon-cosine"), default="ideal",
-        help="fringe model family (default ideal)",
-    )
+def _add_model_flags(parser, models=_MODEL_KINDS, default="ideal",
+                     model_help="fringe model family (default ideal)") -> None:
+    parser.add_argument("--model", choices=models, default=default, help=model_help)
     parser.add_argument(
         "--visibility", type=float, default=1.0,
         help="fringe contrast for affine / noon-cosine models (default 1)",
@@ -753,15 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="hb")
     estimate.add_argument("--n", type=int, default=None,
                           help="total photon number (default: outcome total)")
-    estimate.add_argument(
-        "--model",
-        choices=("ideal", "affine", "noon-cosine", "full"),
-        default=None,
-        help="model for fit/mle (fit default affine, mle default ideal)",
-    )
-    estimate.add_argument("--visibility", type=float, default=1.0)
-    estimate.add_argument("--peak", type=float, default=DEFAULT_FRINGE_PEAK)
-    estimate.add_argument("--amplitude", type=float, default=None)
+    _add_model_flags(estimate, (*_MODEL_KINDS, "full"), None,
+                     "model for fit/mle (fit default affine, mle default ideal)")
     estimate.add_argument("--out", default=None, metavar="FILE",
                           help="write the JSON report to FILE")
     estimate.set_defaults(func=cmd_estimate)

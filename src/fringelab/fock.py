@@ -203,18 +203,6 @@ def beam_splitter(state: TwoModeState) -> TwoModeState:
     )
 
 
-def generator_apply(state: TwoModeState) -> TwoModeState:
-    """Multiply each amplitude by the generator eigenvalue (n1 - n2)/2.
-
-    The result is an operator image, not a physical state; it is returned
-    unnormalized (it can even be the zero vector, e.g. for |3,3>).
-    """
-    h = 0.5 * number_difference(state.total_photons)
-    return TwoModeState(
-        state.total_photons, state.amplitudes * h, renormalized=state.renormalized
-    )
-
-
 def generator_variance(state: TwoModeState) -> float:
     """Variance of the photon-number difference n1 - n2 (equals 4*Var(h))."""
     p = np.abs(state.amplitudes) ** 2

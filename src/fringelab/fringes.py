@@ -5,8 +5,10 @@ A fringe is the probability of one number-resolved outcome as a function
 of the interferometer phase. Both kernels start from the same rotated
 state psi(phi) = U(phi)|psi>, one column per phase of a whole grid:
 
-- :func:`output_amplitudes` multiplies psi by the whole splitter and gives
-  every outcome's amplitude. ``full_fisher``, ``fringe_probabilities``,
+- :func:`output_amplitudes` multiplies psi by the whole splitter once and
+  gives every outcome's amplitude A. Since B h B = J_x is tridiagonal, the
+  derivative amplitudes A_h = J_x A and A_hh = J_x A_h follow in O(N) per
+  phase with no second product. ``full_fisher``, ``fringe_probabilities``,
   the multinomial likelihood and ``simulate_counts`` use it.
 - the one-row path (:func:`_one_fringe`) projects psi on the single
   splitter row of the detected outcome, in O(N) per phase. Every
@@ -33,7 +35,6 @@ from .fock import (
     PhysicsError,
     TwoModeState,
     beam_splitter_matrix,
-    generator_apply,
     number_difference,
 )
 from .states import build_state
@@ -158,11 +159,24 @@ def _like_phi(value, phi):
 @lru_cache(maxsize=4)
 def _generator_powers(total_photons: int) -> np.ndarray:
     """Rows 1, h and h^2 of the phase generator h = (n1 - n2)/2 along the
-    basis, read-only."""
+    basis, then the off-diagonal (1/2) sqrt((k+1)(N-k)) of J_x = B h B,
+    which is zero at k = N; read-only."""
     h = 0.5 * number_difference(total_photons)
-    powers = np.stack([np.ones_like(h), h, h * h])
+    k = np.arange(total_photons + 1)
+    hop = 0.5 * np.sqrt((k + 1.0) * (total_photons - k))
+    powers = np.stack([np.ones_like(h), h, h * h, hop])
     powers.setflags(write=False)
     return powers
+
+
+def _apply_jx(amps: np.ndarray, total_photons: int) -> np.ndarray:
+    """J_x along the last axis: (J_x A)_k = c_k A_{k+1} + c_{k-1} A_{k-1},
+    with c the off-diagonal."""
+    hop = _generator_powers(total_photons)[3, :-1]
+    out = np.zeros_like(amps)
+    out[..., :-1] = hop * amps[..., 1:]
+    out[..., 1:] += hop * amps[..., :-1]
+    return out
 
 
 def _rotated(state: TwoModeState, phis: np.ndarray) -> np.ndarray:
@@ -178,17 +192,19 @@ def output_amplitudes(state: TwoModeState, phi):
     A_h[..., m] = <m|B h U(phi)|psi>, each of shape np.shape(phi) + (N+1,),
     where U(phi) = exp(-i phi h) and h = (n1 - n2)/2. The probability of
     outcome m is |A|^2 and its phase derivative is 2 Im[conj(A) A_h].
+
+    The splitter multiplies psi(phi) only: B is self-inverse, so
+    A_h = B h B A = J_x A, in O(N) per phase.
     """
     n = state.total_photons
     phis = np.asarray(phi, dtype=float)
-    # One column per phase, for psi and for h psi. Viewed as floats, each
-    # complex column is a real and an imaginary column, so the real
-    # splitter multiplies them in one real product, never cast to complex.
+    # Viewed as floats, each complex column of psi is a real and an
+    # imaginary column, so the real splitter multiplies them in one real
+    # product, never cast to complex.
     psi = _rotated(state, phis)
-    cols = np.concatenate([psi, _generator_powers(n)[1][:, None] * psi], axis=1)
-    out = (beam_splitter_matrix(n) @ cols.view(float)).view(complex).T
-    shape = phis.shape + (n + 1,)
-    return out[: phis.size].reshape(shape), out[phis.size :].reshape(shape)
+    amp = (beam_splitter_matrix(n) @ psi.view(float)).view(complex).T
+    amp = amp.reshape(phis.shape + (n + 1,))
+    return amp, _apply_jx(amp, n)
 
 
 def _probability_and_slope(amp, amp_h):
@@ -287,10 +303,9 @@ def _curvature(amp, amp_h, amp_hh):
 
 
 def _curvatures(state: TwoModeState, phi):
-    """d^2p/dphi^2 of every outcome; A_hh is the all-outcome kernel's A_h
-    of the vector h psi."""
+    """d^2p/dphi^2 of every outcome, with A_hh = J_x A_h."""
     amp, amp_h = output_amplitudes(state, phi)
-    return _curvature(amp, amp_h, output_amplitudes(generator_apply(state), phi)[1])
+    return _curvature(amp, amp_h, _apply_jx(amp_h, state.total_photons))
 
 
 def _model_curvature(model: FringeModel, phi):

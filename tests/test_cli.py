@@ -402,6 +402,14 @@ class TestSimulateCommand:
 
 
 class TestEstimateCommand:
+    def test_help_documents_the_model_flags(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["estimate", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        for text in ("fringe contrast", "peak probability a+b", "noon-cosine baseline q"):
+            assert text in out
+
     def _counts_file(self, tmp_path, records, seed=None):
         path = tmp_path / "counts.csv"
         path.write_text(records_to_csv(records, seed=seed))

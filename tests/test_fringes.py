@@ -33,7 +33,14 @@ from fringelab import (
     single_fringe_fisher_model,
     snl_state,
 )
-from fringelab.fringes import _model_fringe, _one_fringe, _probability_and_slope
+from fringelab.fringes import (
+    _curvature,
+    _curvatures,
+    _model_fringe,
+    _one_fringe,
+    _probability_and_slope,
+    _row_amplitudes,
+)
 
 from oracles import central_diff, random_states
 
@@ -170,13 +177,16 @@ class TestOneRowPath:
             amp, amp_h = output_amplitudes(state, phis)
             probs = fringe_probabilities(state, phis)
             slopes = _probability_and_slope(amp, amp_h)[1]
+            curvatures = _curvatures(state, phis)
             for m in range(total + 1):
-                p, rest, dp, row_h = _one_fringe(
-                    state, OutcomePattern(m, total - m), phis
-                )
+                outcome = OutcomePattern(m, total - m)
+                p, rest, dp, row_h = _one_fringe(state, outcome, phis)
                 assert np.max(np.abs(p - np.abs(amp[:, m]) ** 2)) <= 1e-15
                 assert np.max(np.abs(row_h - amp_h[:, m])) <= 1e-15 * total
                 assert np.max(np.abs(dp - slopes[:, m])) <= 1e-14 * total
+                row_curvature = _curvature(*_row_amplitudes(state, outcome, phis, 2)[2])
+                curvature_error = np.abs(curvatures[:, m] - row_curvature)
+                assert np.max(curvature_error) <= 1e-15 * total**2
                 others = np.delete(probs, m, axis=-1).sum(axis=-1)
                 assert np.max(np.abs(rest / others - 1.0)) <= 1e-13
 
