@@ -43,7 +43,6 @@ from .fock import (
     PhysicsError,
     TwoModeState,
     basis_state,
-    beam_splitter,
     beam_splitter_matrix,
     generator_variance,
     make_state,
@@ -88,7 +87,6 @@ __all__ = [
     "affine_model",
     "apply_model",
     "basis_state",
-    "beam_splitter",
     "beam_splitter_matrix",
     "build_state",
     "click_distribution",

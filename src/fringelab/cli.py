@@ -210,6 +210,12 @@ def _build_model(
     raise UsageError(f"unknown model kind {kind!r}")
 
 
+def _model_from_args(args, kind: str, total_photons: int, outcome) -> FringeModel:
+    """The ``kind`` model of --state, shaped by --visibility, --peak, --amplitude."""
+    return _build_model(kind, args.state, total_photons, outcome,
+                        args.visibility, args.peak, args.amplitude)
+
+
 def _visibility_cov(model: FringeModel, sigma_v: float) -> np.ndarray:
     """Parameter covariance induced by a visibility uncertainty alone.
 
@@ -318,7 +324,9 @@ def records_from_json(text: str) -> tuple[list[CountRecord], int | None]:
                 shots=_number(item["shots"], "shots", int),
                 outcome_counts={
                     _parse_outcome(key): _counts_value(value)
-                    for key, value in item["counts"].items()
+                    for key, value in _json_typed(
+                        item["counts"], dict, "record counts"
+                    ).items()
                 },
             )
             for item in data["records"]
@@ -454,10 +462,7 @@ def plan_from_dict(data: dict, detectors: DetectorArrayConfig | None = None) -> 
 def cmd_fringe(args) -> int:
     outcome = _parse_outcome(args.outcome)
     grid_deg = _phase_grid(args.phi_start, args.phi_end, args.phi_step)
-    model = _build_model(
-        args.model, args.state, args.n, outcome,
-        args.visibility, args.peak, args.amplitude,
-    )
+    model = _model_from_args(args, args.model, args.n, outcome)
     probs = apply_model(model, np.radians(grid_deg))
     rows = [[float(deg), float(p)] for deg, p in zip(grid_deg, probs)]
     _emit_table(args, ["phi_deg", "probability"], rows)
@@ -477,10 +482,7 @@ def cmd_fisher(args) -> int:
         if args.outcome is None:
             raise UsageError("--outcome is required for --mode single")
         outcome = _parse_outcome(args.outcome)
-        model = _build_model(
-            args.model, args.state, args.n, outcome,
-            args.visibility, args.peak, args.amplitude,
-        )
+        model = _model_from_args(args, args.model, args.n, outcome)
         fun = partial(single_fringe_fisher_model, model)
         if args.band:
             cov = _visibility_cov(model, args.visibility_sigma)
@@ -604,10 +606,7 @@ def cmd_estimate(args) -> int:
         if kind == "full":
             model = build_state(args.state, total_photons)
         else:
-            model = _build_model(
-                kind, args.state, total_photons, outcome,
-                args.visibility, args.peak, args.amplitude,
-            )
+            model = _model_from_args(args, kind, total_photons, outcome)
         result = mle_phase(records, model, (math.radians(lo), math.radians(hi)))
         report.update(
             {
@@ -637,9 +636,13 @@ def _add_output_flags(parser) -> None:
     )
 
 
+#: The input state families a command line may name.
+_STATE_KINDS = ("hb", "noon", "snl")
+
+
 def _add_state_flags(parser) -> None:
     parser.add_argument(
-        "--state", choices=("hb", "noon", "snl"), default="hb",
+        "--state", choices=_STATE_KINDS, default="hb",
         help="input state family (default hb)",
     )
     parser.add_argument(
@@ -746,8 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--interval", default="0:30", metavar="LO:HI",
                           help="degrees search interval for --method mle "
                           "(default 0:30)")
-    estimate.add_argument("--state", choices=("hb", "noon", "snl"),
-                          default="hb")
+    estimate.add_argument("--state", choices=_STATE_KINDS, default="hb")
     estimate.add_argument("--n", type=int, default=None,
                           help="total photon number (default: outcome total)")
     _add_model_flags(estimate, (*_MODEL_KINDS, "full"), None,

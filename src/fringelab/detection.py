@@ -84,6 +84,18 @@ def port_click_pmf(photons: int, config: DetectorArrayConfig) -> np.ndarray:
     return _click_table(photons, config)[photons].copy()
 
 
+def _recorded_probabilities(probs: np.ndarray, config: DetectorArrayConfig) -> np.ndarray:
+    """Chance p_m r_m r_(N-m) that photon pattern (m, N-m) of ``probs`` (last
+    axis m = 0..N) gives the click pattern (m, N-m), which no other photon
+    pattern gives; r_m is the m-photon diagonal of the click table, and the
+    product has the bits of :func:`click_distribution`."""
+    n = probs.shape[-1] - 1
+    table = _click_table(n, config)
+    resolve = np.zeros(n + 1)
+    resolve[: table.shape[1]] = np.diagonal(table)
+    return (probs * resolve) * resolve[::-1]
+
+
 def click_distribution(
     outcome_probs: dict[OutcomePattern, float], config: DetectorArrayConfig
 ) -> dict[tuple[int, int], float]:

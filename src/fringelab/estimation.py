@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectorArrayConfig, click_distribution
+from .detection import DetectorArrayConfig, _recorded_probabilities
 from .fock import OutcomePattern, PhysicsError, TwoModeState
 from .fringes import (
     CountRecord,
@@ -77,6 +77,8 @@ def simulate_counts(plan: ExperimentPlan) -> list[CountRecord]:
     else:
         state = build_state(plan.state_kind, plan.total_photons)
         probs = fringe_probabilities(state, phases)
+        if plan.detectors is not None:
+            probs = _recorded_probabilities(probs, plan.detectors)
     seeds = np.random.SeedSequence(plan.seed).spawn(len(plan.phases))
     records = []
     for phi, p, child in zip(plan.phases, probs, seeds):
@@ -85,40 +87,29 @@ def simulate_counts(plan: ExperimentPlan) -> list[CountRecord]:
             hit = int(rng.binomial(plan.shots, p))
             counts = {plan.model.outcome: hit} if hit else {}
         else:
-            counts = _draw_patterns(rng, p, plan.shots, plan.detectors)
+            counts = _draw_patterns(rng, p, plan.shots, plan.detectors is not None)
         records.append(CountRecord(phi=float(phi), shots=plan.shots, outcome_counts=counts))
     return records
 
 
 def _draw_patterns(
-    rng: np.random.Generator,
-    probs: np.ndarray,
-    shots: int,
-    detectors: DetectorArrayConfig | None,
+    rng: np.random.Generator, probs: np.ndarray, shots: int, detected: bool
 ) -> dict[OutcomePattern, int]:
-    """Draw ``shots`` events from the N+1 outcome probabilities ``probs``,
-    through the detector array when one is given. Click patterns below the
-    roundoff floor _P_TOL are not drawn from, so that the categories of
-    the draw do not depend on roundoff."""
+    """Draw ``shots`` events from the N+1 outcome probabilities ``probs``, or,
+    when ``detected``, from the recorded probabilities of a detector array
+    above the roundoff floor _P_TOL (so that the categories of the draw do
+    not depend on roundoff) and the lost or unresolved remainder."""
     n = len(probs) - 1
-    if detectors is None:
-        patterns = [OutcomePattern(k, n - k) for k in range(n + 1)]
+    if not detected:
         pvals = np.clip(probs, 0.0, None)
         draws = rng.multinomial(shots, pvals / pvals.sum())
-        return {pat: int(c) for pat, c in zip(patterns, draws) if c > 0}
-    photon_probs = {OutcomePattern(k, n - k): float(probs[k]) for k in range(n + 1)}
-    clicks = click_distribution(photon_probs, detectors)
-    kept = sorted(
-        (key, p) for key, p in clicks.items() if key[0] + key[1] == n and p > _P_TOL
-    )
-    pvals = np.array([p for _, p in kept] + [0.0])
+        return {OutcomePattern(k, n - k): int(c) for k, c in enumerate(draws) if c > 0}
+    kept = np.flatnonzero(probs > _P_TOL)
+    pvals = np.array([*probs[kept], 0.0])
     pvals[-1] = max(0.0, 1.0 - pvals.sum())  # lost or unresolved events
     draws = rng.multinomial(shots, pvals / pvals.sum())
-    return {
-        OutcomePattern(*key): int(c)
-        for (key, _), c in zip(kept, draws[:-1])
-        if c > 0
-    }
+    pairs = zip(kept.tolist(), draws[:-1])
+    return {OutcomePattern(m, n - m): int(c) for m, c in pairs if c > 0}
 
 
 @dataclass(frozen=True)

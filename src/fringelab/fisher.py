@@ -33,8 +33,7 @@ from .fock import (
     OutcomePattern,
     PhysicsError,
     TwoModeState,
-    beam_splitter_matrix,
-    number_difference,
+    _check_sector,
 )
 from .fringes import (
     FringeModel,
@@ -159,11 +158,8 @@ def output_uncertainty_bound(outcome: OutcomePattern) -> float:
     """Ceiling on any single fringe's Fisher information at this outcome:
     the (n1 - n2)^2 moment of the detection ket propagated back through
     the output splitter, equal to 2 n1 n2 + N."""
-    n = outcome.total
-    mat = beam_splitter_matrix(n)
-    ket = mat[:, outcome.out_port_1]
-    d = number_difference(n)
-    return float((ket * ket) @ (d * d))
+    _check_sector(outcome.total)
+    return float(2 * outcome.out_port_1 * outcome.out_port_2 + outcome.total)
 
 
 def optimality_certificate(

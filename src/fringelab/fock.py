@@ -195,14 +195,6 @@ def beam_splitter_matrix(total_photons: int) -> np.ndarray:
     return mat
 
 
-def beam_splitter(state: TwoModeState) -> TwoModeState:
-    """Send a state through the 50:50 beam splitter (its own inverse)."""
-    mat = beam_splitter_matrix(state.total_photons)
-    return TwoModeState(
-        state.total_photons, mat @ state.amplitudes, renormalized=state.renormalized
-    )
-
-
 def generator_variance(state: TwoModeState) -> float:
     """Variance of the photon-number difference n1 - n2 (equals 4*Var(h))."""
     p = np.abs(state.amplitudes) ** 2

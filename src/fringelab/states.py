@@ -1,9 +1,9 @@
 """Benchmark input states for two-path interferometry.
 
 dual_fock   |N/2, N/2>, the twin Fock input (even N only)
-hb_state    Holland-Burnett state: the beam-splitter image of dual_fock
+hb_state    Holland-Burnett state: dual_fock through the splitter (column N/2)
 noon_state  (|N,0> + |0,N>)/sqrt(2)
-snl_state   N independent photons split 50:50 (the shot-noise baseline)
+snl_state   N photons split 50:50, the shot-noise baseline (column N)
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from .fock import (
     PhysicsError,
     TwoModeState,
     basis_state,
-    beam_splitter,
+    beam_splitter_matrix,
     _check_sector,
 )
 
 
-def dual_fock(total_photons: int) -> TwoModeState:
-    """|N/2, N/2>; raises for odd N (each port needs N/2 photons)."""
+def _half(total_photons: int) -> int:
+    """N/2 photons per port of the dual Fock input; raises for odd N."""
     _check_sector(total_photons)
     if total_photons % 2 != 0 or total_photons < 2:
         raise PhysicsError(
@@ -28,12 +28,19 @@ def dual_fock(total_photons: int) -> TwoModeState:
             f"N >= 2 so the dual Fock input can place N/2 photons in each "
             f"port; got N={total_photons}"
         )
-    return basis_state(total_photons, total_photons // 2)
+    return total_photons // 2
+
+
+def dual_fock(total_photons: int) -> TwoModeState:
+    """|N/2, N/2>; raises for odd N (each port needs N/2 photons)."""
+    return basis_state(total_photons, _half(total_photons))
 
 
 def hb_state(total_photons: int) -> TwoModeState:
-    """Holland-Burnett state: dual Fock input after the first splitter."""
-    return beam_splitter(dual_fock(total_photons))
+    """Holland-Burnett state: dual Fock input after the first splitter,
+    column N/2 of the splitter."""
+    half = _half(total_photons)
+    return TwoModeState(total_photons, beam_splitter_matrix(total_photons)[:, half])
 
 
 def noon_state(total_photons: int) -> TwoModeState:
@@ -47,14 +54,15 @@ def noon_state(total_photons: int) -> TwoModeState:
 
 
 def snl_state(total_photons: int) -> TwoModeState:
-    """All N photons into one port of the splitter: the binomial path
-    distribution that defines the shot-noise limit."""
+    """All N photons into one port of the splitter (column N of the
+    splitter): the binomial path distribution that defines the shot-noise
+    limit."""
     _check_sector(total_photons)
     if total_photons < 1:
         raise PhysicsError(
             f"the shot-noise baseline needs N >= 1, got N={total_photons}"
         )
-    return beam_splitter(basis_state(total_photons, total_photons))
+    return TwoModeState(total_photons, beam_splitter_matrix(total_photons)[:, -1])
 
 
 _BUILDERS = {

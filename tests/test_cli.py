@@ -652,7 +652,12 @@ _HB6 = ["--state", "hb", "--n", "6", "--outcome", "3:3"]
 
 def _counts_json(value):
     """A one-record counts file whose 3:3 count is the JSON text ``value``."""
-    return '{"records": [{"phi_deg": 15, "shots": 100, "counts": {"3:3": %s}}]}' % value
+    return _counts_record('{"3:3": %s}' % value)
+
+
+def _counts_record(counts):
+    """A one-record counts file whose counts field is the JSON text ``counts``."""
+    return '{"records": [{"phi_deg": 15, "shots": 100, "counts": %s}]}' % counts
 
 
 class TestExitContract:
@@ -699,6 +704,8 @@ class TestExitContract:
             ),
             ("", ["fringe", *_HB6, "--model", "affine", "--visibility", "inf"],
              "--visibility must be a finite number"),
+            (_counts_record("[1, 2]"), _ESTIMATE, "record counts must be a JSON object"),
+            (_counts_record('"3:3=5"'), _ESTIMATE, "record counts must be a JSON object"),
         ],
         ids=["plan-n-abc", "plan-negative-seed", "plan-fractional-n",
              "plan-fractional-shots", "plan-nan-phase", "counts-text-phase",
@@ -706,7 +713,8 @@ class TestExitContract:
              "counts-json-text", "counts-json-bool", "fringe-oversized-grid",
              "plan-phases-not-list", "plan-detectors-not-object",
              "plan-model-not-object", "fringe-nan-amplitude",
-             "fisher-nan-visibility-sigma", "fringe-inf-visibility"],
+             "fisher-nan-visibility-sigma", "fringe-inf-visibility",
+             "counts-json-list", "counts-json-string"],
     )
     def test_malformed_input_exits_2_with_one_line(
         self, capsys, tmp_path, text, argv, fragment

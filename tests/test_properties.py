@@ -1,4 +1,5 @@
-"""Property tests of the fringe kernels, the splitter and the counts files.
+"""Property tests of the fringe kernels, the splitter, the named states, the
+detector draws and the counts files.
 
 Hypothesis draws are derandomized, so every run checks the same examples.
 """
@@ -11,18 +12,25 @@ from hypothesis import strategies as st
 
 from fringelab import (
     CountRecord,
+    DetectorArrayConfig,
     OutcomePattern,
     affine_model,
+    basis_state,
     beam_splitter_matrix,
     build_state,
+    click_distribution,
+    fringe_probabilities,
+    hb_state,
     ideal_model,
     make_state,
     noon_cosine_model,
     output_amplitudes,
     single_fringe_fisher,
     single_fringe_fisher_model,
+    snl_state,
 )
 from fringelab.cli import records_from_csv, records_from_json, records_to_csv, records_to_json
+from fringelab.detection import _recorded_probabilities
 from fringelab.fringes import _model_fringe, _probability_and_slope
 
 from oracles import random_states
@@ -105,6 +113,41 @@ def test_splitter_is_symmetric_and_self_inverse(total):
     mat = beam_splitter_matrix(total)
     assert np.max(np.abs(mat - mat.T)) <= 1e-13
     assert np.max(np.abs(mat @ mat - np.eye(total + 1))) <= 1e-13
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(total=st.integers(min_value=1, max_value=512))
+def test_named_states_are_splitter_columns(total):
+    # hb_state and snl_state read a column; the product with the basis ket
+    # has the same values (a zero may differ in sign, which compares equal).
+    even = total + total % 2
+    for state, ket in [
+        (snl_state(total), basis_state(total, total)),
+        (hb_state(even), basis_state(even, even // 2)),
+    ]:
+        mat = beam_splitter_matrix(ket.total_photons)
+        assert np.array_equal(state.amplitudes, mat @ ket.amplitudes)
+
+
+@DETERMINISTIC
+@given(
+    total=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    phis=st.lists(PHASES, min_size=1, max_size=4),
+)
+def test_recorded_probabilities_are_the_joint_click_table_bit_for_bit(total, seed, phis):
+    # A click pattern (m, N - m) can come only from the photon pattern
+    # (m, N - m), so the draw's probabilities are entries of the joint table.
+    state = make_state(total, random_states(total, 1, np.random.default_rng(seed))[0])
+    probs = fringe_probabilities(state, np.array(phis))
+    for k in range((total + 1) // 2, total + 2):
+        for eta in (0.0, 0.5, 0.9, 1.0):
+            config = DetectorArrayConfig(k, eta)
+            for recorded, row in zip(_recorded_probabilities(probs, config), probs):
+                photons = {OutcomePattern(m, total - m): float(row[m]) for m in range(total + 1)}
+                joint = click_distribution(photons, config)
+                expected = [joint.get((m, total - m), 0.0) for m in range(total + 1)]
+                assert recorded.tolist() == expected, (k, eta)
 
 
 @st.composite
