@@ -54,7 +54,6 @@ from .fringes import (
     FitResult,
     FringeModel,
     affine_from_visibility,
-    affine_model,
     apply_model,
     fit_fringe,
     fringe_probabilities,
@@ -84,7 +83,6 @@ __all__ = [
     "ScalingRow",
     "TwoModeState",
     "affine_from_visibility",
-    "affine_model",
     "apply_model",
     "basis_state",
     "beam_splitter_matrix",

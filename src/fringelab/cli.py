@@ -54,6 +54,7 @@ from .fringes import (
     ideal_model,
     noon_cosine_model,
     _MODEL_KINDS,
+    _visibility_cov,
 )
 from .states import build_state
 
@@ -216,22 +217,6 @@ def _model_from_args(args, kind: str, total_photons: int, outcome) -> FringeMode
                         args.visibility, args.peak, args.amplitude)
 
 
-def _visibility_cov(model: FringeModel, sigma_v: float) -> np.ndarray:
-    """Parameter covariance induced by a visibility uncertainty alone.
-
-    For the affine family the peak probability a+b is held fixed, so
-    da/dV = -db/dV = 2(a+b)/(1+V)^2; for the noon-cosine family the
-    visibility is itself the second parameter.
-    """
-    if model.kind == "affine":
-        peak = model.amplitude + model.offset
-        slope = 2.0 * peak / (1.0 + model.visibility) ** 2
-        jac = np.array([slope, -slope])
-    else:
-        jac = np.array([0.0, 1.0])
-    return sigma_v**2 * np.outer(jac, jac)
-
-
 # ---------------------------------------------------------------------------
 # CountRecord serialization
 
@@ -284,9 +269,9 @@ def records_from_csv(text: str) -> tuple[list[CountRecord], int | None]:
         if not line:
             continue
         if line.startswith("#"):
-            match = re.search(r"seed\s*=\s*(-?\d+)", line)
+            match = re.search(r"seed\s*=\s*(\S+)", line)
             if match:
-                seed = int(match.group(1))
+                seed = _number(match.group(1), "counts seed", int)
             continue
         rows.append(line)
     if not rows or rows[0] != _COUNTS_HEADER:
@@ -335,7 +320,8 @@ def records_from_json(text: str) -> tuple[list[CountRecord], int | None]:
         raise  # a well-formed but physically invalid record, as in CSV
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed counts JSON: {exc}") from exc
-    return records, data.get("seed")
+    seed = data.get("seed")
+    return records, None if seed is None else _number(seed, "counts seed", int)
 
 
 def read_counts(path: str) -> tuple[list[CountRecord], int | None]:
@@ -389,14 +375,21 @@ def _detectors_from_config(path: str) -> DetectorArrayConfig:
 
 
 def _model_from_mapping(data: dict, state_kind: str, total_photons: int) -> FringeModel:
+    """The model block of a plan; its state and N are the plan's own."""
+    unknown = set(data) - {"kind", "outcome", "visibility", "peak", "amplitude"}
+    if unknown:
+        raise UsageError(
+            f"unknown model settings {sorted(unknown)}; "
+            f"expected kind, outcome, visibility, peak, amplitude"
+        )
     kind = data.get("kind", "ideal")
     outcome_text = data.get("outcome", f"{total_photons // 2}:{total_photons // 2}")
     outcome = _parse_outcome(str(outcome_text))
     amplitude = data.get("amplitude")
     return _build_model(
         kind,
-        str(data.get("state", state_kind)),
-        _number(data.get("n", total_photons), "model n", int),
+        state_kind,
+        total_photons,
         outcome,
         _number(data.get("visibility", 1.0), "model visibility"),
         _number(data.get("peak", DEFAULT_FRINGE_PEAK), "model peak"),
@@ -519,6 +512,10 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_scaling(args) -> int:
+    if args.n_max // 2 > MAX_GRID_POINTS:
+        raise UsageError(
+            f"the scaling table would hold more than {MAX_GRID_POINTS} rows"
+        )
     table = scaling_table(args.n_max)
     columns = ["n", "snl", "noon_single", "hb_single"]
     rows = [
@@ -564,7 +561,7 @@ def cmd_estimate(args) -> int:
 
     if args.method == "fit":
         kind = args.model or "affine"
-        if kind not in ("affine", "noon-cosine"):
+        if kind not in _MODEL_KINDS:
             raise UsageError("--method fit supports --model affine or noon-cosine")
         result = fit_fringe(records, outcome, kind, state_kind=args.state)
         report.update(
@@ -650,7 +647,7 @@ def _add_state_flags(parser) -> None:
     )
 
 
-def _add_model_flags(parser, models=_MODEL_KINDS, default="ideal",
+def _add_model_flags(parser, models=("ideal", *_MODEL_KINDS), default="ideal",
                      model_help="fringe model family (default ideal)") -> None:
     parser.add_argument("--model", choices=models, default=default, help=model_help)
     parser.add_argument(
@@ -752,7 +749,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--state", choices=_STATE_KINDS, default="hb")
     estimate.add_argument("--n", type=int, default=None,
                           help="total photon number (default: outcome total)")
-    _add_model_flags(estimate, (*_MODEL_KINDS, "full"), None,
+    _add_model_flags(estimate, ("ideal", *_MODEL_KINDS, "full"), None,
                      "model for fit/mle (fit default affine, mle default ideal)")
     estimate.add_argument("--out", default=None, metavar="FILE",
                           help="write the JSON report to FILE")

@@ -42,9 +42,10 @@ class ExperimentPlan:
     Draws ``shots`` events at every phase (radians) from the named input
     state's outcome distribution, optionally pushed through a detector
     array (events whose click total differs from N are discarded), or
-    from ``model`` as a single-fringe binomial when a fringe model is
-    given instead. A detector array with k counters per port cannot
-    record N > 2k photons, so such a plan is refused.
+    from ``model`` as a single-fringe binomial when a fringe model of the
+    plan's N is given instead. The binomial draw has no detector path, so
+    a plan with both a model and detectors is refused, as is one whose
+    detector array, with k counters per port, cannot record N > 2k photons.
     """
 
     state_kind: str
@@ -60,7 +61,17 @@ class ExperimentPlan:
             raise PhysicsError("an experiment plan needs at least one phase")
         if self.shots < 1:
             raise PhysicsError(f"shots must be positive, got {self.shots}")
-        if self.model is None and self.detectors is not None:
+        if self.model is not None:
+            if self.detectors is not None:
+                raise PhysicsError(
+                    "a fringe-model plan draws single-fringe counts and takes no detectors"
+                )
+            if self.model.total_photons != self.total_photons:
+                raise PhysicsError(
+                    f"the fringe model has N = {self.model.total_photons} photons, "
+                    f"the plan N = {self.total_photons}"
+                )
+        elif self.detectors is not None:
             k = self.detectors.detectors_per_port
             if self.total_photons > 2 * k:
                 raise PhysicsError(
@@ -238,11 +249,13 @@ def mle_phase(
     if not records:
         raise PhysicsError("no count records")
 
+    # Every recorded pattern must carry N photons, whichever likelihood reads it.
+    weights = np.zeros(model.total_photons + 1)
+    for r in records:
+        for pat, c in r.outcome_counts.items():
+            weights[_outcome_index(model, pat)] += c
+
     if isinstance(model, TwoModeState):
-        weights = np.zeros(model.total_photons + 1)
-        for r in records:
-            for pat, c in r.outcome_counts.items():
-                weights[_outcome_index(model, pat)] += c
         if not weights.any():
             raise PhysicsError("no recorded events")
 
@@ -254,7 +267,7 @@ def mle_phase(
 
     else:
         # Two categories: the outcome and its complement, without cancellation.
-        hits = sum(float(r.outcome_counts.get(model.outcome, 0.0)) for r in records)
+        hits = weights[_outcome_index(model, model.outcome)]
         weights = np.array([hits, sum(r.shots for r in records) - hits])
 
         def categories(phi):

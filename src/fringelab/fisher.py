@@ -37,11 +37,11 @@ from .fock import (
 )
 from .fringes import (
     FringeModel,
-    ideal_model,
     output_amplitudes,
     _P_TOL,
     _like_phi,
     _model_fringe,
+    _model_gradient,
     _one_fringe,
     _probability_and_slope,
 )
@@ -114,7 +114,8 @@ def _binary_fisher(p, rest, dp):
 def single_fringe_fisher_model(model: FringeModel, phi):
     """Single-fringe Fisher information of a fringe model, with the
     complement taken without cancellation (see ``fringes._model_fringe``);
-    the ideal model gives exactly ``single_fringe_fisher`` of its state."""
+    the exact fringe (affine a = 1, b = 0) gives exactly
+    ``single_fringe_fisher`` of its state."""
     return _like_phi(_binary_fisher(*_model_fringe(model, phi)), phi)
 
 
@@ -123,23 +124,12 @@ def model_fisher_sigma(model: FringeModel, cov: np.ndarray, phi):
     parameter covariance (affine (a, b) or noon-cosine (q, V)).
 
     The gradient is analytic: F = dp^2 / (p (1 - p)) depends on the
-    parameters only through p and dp, whose parameter derivatives are
-    (p0, 1) and (dp0, 0) for the affine family p = a p0 + b, and
-    (1 + V cos N phi, q cos N phi) and (-V N sin N phi, -q N sin N phi)
-    for the noon-cosine family.
+    parameters only through p and dp, whose parameter derivatives come from
+    ``fringes._model_gradient``.
     """
     phis = np.asarray(phi, dtype=float)
     p, rest, dp = _model_fringe(model, phis)
-    if model.kind == "affine":
-        ideal = ideal_model(model.state_kind, model.total_photons, model.outcome)
-        p0, _, dp0 = _model_fringe(ideal, phis)
-        grad_p = np.stack([p0, np.ones_like(p0)])
-        grad_dp = np.stack([dp0, np.zeros_like(dp0)])
-    else:
-        n, q, vis = model.total_photons, model.amplitude, model.visibility
-        cos, sin = np.cos(n * phis), np.sin(n * phis)
-        grad_p = np.stack([1.0 + vis * cos, q * cos])
-        grad_dp = np.stack([-vis * n * sin, -q * n * sin])
+    grad_p, grad_dp = _model_gradient(model, phis)
     # Where F is zero it sits at its minimum over the parameters (dp = 0,
     # or a removable singularity held at zero), so its gradient is zero.
     fisher = _binary_fisher(p, rest, dp)

@@ -46,7 +46,7 @@ from .states import build_state
 #: 15 degrees (see README).
 DEFAULT_FRINGE_PEAK = 0.96716
 
-_MODEL_KINDS = ("ideal", "affine", "noon-cosine")
+_MODEL_KINDS = ("affine", "noon-cosine")
 _VALID_SLACK = 1e-9
 
 
@@ -54,8 +54,7 @@ _VALID_SLACK = 1e-9
 class FringeModel:
     """One detection fringe, possibly with reduced contrast.
 
-    kind "ideal":      p(phi) = p_exact(phi)
-    kind "affine":     p(phi) = amplitude * p_exact(phi) + offset
+    kind "affine":     p(phi) = amplitude * p_exact(phi) + offset (by default p_exact)
     kind "noon-cosine" p(phi) = amplitude * (1 + visibility * cos(N*phi))
 
     ``state_kind``/``total_photons`` name the underlying input state, and
@@ -135,7 +134,7 @@ class CountRecord:
             )
 
 
-def _outcome_index(state: TwoModeState, outcome: OutcomePattern) -> int:
+def _outcome_index(state: TwoModeState | FringeModel, outcome: OutcomePattern) -> int:
     if outcome.total != state.total_photons:
         raise PhysicsError(
             f"outcome {outcome} has {outcome.total} photons, state has "
@@ -277,9 +276,9 @@ def _model_fringe(model: FringeModel, phi):
 
     Neither p nor its complement is formed by a subtraction, which cancels
     at the crests and dark points that carry the most information. For the
-    ideal and affine families the complement is a * rest0 + (1 - a - b),
-    with rest0 the exact probability of the other outcomes, so the ideal
-    model (a = 1, b = 0) reproduces its state's fringe bit for bit. For the
+    affine family the complement is a * rest0 + (1 - a - b),
+    with rest0 the exact probability of the other outcomes, so the exact
+    fringe (a = 1, b = 0) reproduces its state's fringe bit for bit. For the
     noon-cosine family, in x = N phi, p = q (1 - V) + 2 q V cos^2(x/2) and
     1 - p = (1 - q (1 + V)) + 2 q V sin^2(x/2).
     """
@@ -296,6 +295,19 @@ def _model_fringe(model: FringeModel, phi):
     return a * p0 + b, a * rest0 + (1.0 - a - b), a * dp0
 
 
+def _model_gradient(model: FringeModel, phis: np.ndarray):
+    """Derivatives of the model's p and dp/dphi in its parameters, affine
+    (a, b) or noon-cosine (q, V), each of shape (2,) + phis.shape."""
+    if model.kind == "noon-cosine":
+        n, q, vis = model.total_photons, model.amplitude, model.visibility
+        cos, sin = np.cos(n * phis), np.sin(n * phis)
+        grad_p = np.stack([1.0 + vis * cos, q * cos])
+        return grad_p, np.stack([-vis * n * sin, -q * n * sin])
+    state = _base_state(model.state_kind, model.total_photons)
+    p0, _, dp0, _ = _one_fringe(state, model.outcome, phis)
+    return np.stack([p0, np.ones_like(p0)]), np.stack([dp0, np.zeros_like(dp0)])
+
+
 def _curvature(amp, amp_h, amp_hh):
     """d^2p/dphi^2 = 2 |A_h|^2 - 2 Re[conj(A) A_hh], with
     A_hh = <m|B h^2 U(phi)|psi>."""
@@ -309,8 +321,8 @@ def _curvatures(state: TwoModeState, phi):
 
 
 def _model_curvature(model: FringeModel, phi):
-    """d^2p/dphi^2 of the model fringe: a d^2p0/dphi^2 for the ideal and
-    affine families, from one splitter row, and -q V N^2 cos(N phi) for
+    """d^2p/dphi^2 of the model fringe: a d^2p0/dphi^2 for the affine
+    family, from one splitter row, and -q V N^2 cos(N phi) for
     noon-cosine."""
     n, a = model.total_photons, model.amplitude
     if model.kind == "noon-cosine":
@@ -326,18 +338,8 @@ def apply_model(model: FringeModel, phi):
 
 
 def ideal_model(state_kind: str, total_photons: int, outcome: OutcomePattern) -> FringeModel:
-    return FringeModel("ideal", state_kind, total_photons, outcome)
-
-
-def affine_model(
-    state_kind: str,
-    total_photons: int,
-    outcome: OutcomePattern,
-    amplitude: float,
-    offset: float,
-) -> FringeModel:
-    """Affine-contrast fringe with explicit scale and floor."""
-    return FringeModel("affine", state_kind, total_photons, outcome, amplitude, offset)
+    """The exact fringe of the state: the affine member a = 1, b = 0."""
+    return FringeModel("affine", state_kind, total_photons, outcome)
 
 
 def affine_from_visibility(
@@ -359,6 +361,19 @@ def affine_from_visibility(
     amplitude = 2.0 * peak * visibility / (1.0 + visibility)
     offset = peak * (1.0 - visibility) / (1.0 + visibility)
     return FringeModel("affine", state_kind, total_photons, outcome, amplitude, offset)
+
+
+def _visibility_cov(model: FringeModel, sigma_v: float) -> np.ndarray:
+    """Parameter covariance induced by a visibility uncertainty alone: with
+    the peak a + b held fixed, da/dV = -db/dV = 2(a+b)/(1+V)^2 for the
+    affine family; V is the second noon-cosine parameter itself."""
+    if model.kind == "affine":
+        peak = model.amplitude + model.offset
+        slope = 2.0 * peak / (1.0 + model.visibility) ** 2
+        jac = np.array([slope, -slope])
+    else:
+        jac = np.array([0.0, 1.0])
+    return sigma_v**2 * np.outer(jac, jac)
 
 
 def noon_cosine_model(
@@ -429,7 +444,7 @@ def fit_fringe(
     Raises:
         PhysicsError: underdetermined data or singular normal equations.
     """
-    if model_kind not in ("affine", "noon-cosine"):
+    if model_kind not in _MODEL_KINDS:
         raise PhysicsError(
             f"model kind {model_kind!r} is not fittable; "
             f"use 'affine' or 'noon-cosine'"
@@ -473,7 +488,7 @@ def fit_fringe(
         vis_sigma = float(np.sqrt(max(jac @ cov @ jac, 0.0)))
         a_c = min(max(a, 0.0), 1.0)
         b_c = min(max(b, 0.0), 1.0 - a_c)
-        model = affine_model(state_kind, total, outcome, a_c, b_c)
+        model = FringeModel("affine", state_kind, total, outcome, a_c, b_c)
         return FitResult(model, raw, cov, param_names, vis, vis_sigma)
 
     q, qv = float(raw[0]), float(raw[1])

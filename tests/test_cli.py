@@ -13,10 +13,13 @@ import pytest
 
 from fringelab import (
     CountRecord,
+    ExperimentPlan,
     OutcomePattern,
+    affine_from_visibility,
     fringe_probabilities,
     hb_state,
     p33_closed_form,
+    simulate_counts,
 )
 from fringelab.cli import (
     _emit_table,
@@ -354,6 +357,17 @@ class TestSimulateCommand:
         assert code == 2
         assert "missing" in err
 
+    def test_model_plan_takes_state_and_n_from_the_plan(self, capsys, tmp_path):
+        model = {"kind": "affine", "visibility": 0.94, "peak": 0.9, "outcome": "3:3"}
+        plan = self._plan(tmp_path, phases_deg=[5.0, 15.0], shots=400, model=model)
+        code, out, _ = _run(capsys, ["simulate", "--plan", plan])
+        assert code == 0
+        expected = simulate_counts(ExperimentPlan(
+            "hb", 6, (math.radians(5.0), math.radians(15.0)), 400, 7,
+            model=affine_from_visibility("hb", 6, P33, 0.94, 0.9),
+        ))
+        assert records_from_csv(out) == (expected, 7)
+
     def test_config_overrides_plan_detectors(self, capsys, tmp_path):
         # One counter per port saturates at one click, so no six-photon
         # event survives; the config file restores a resolving array.
@@ -655,12 +669,29 @@ def _counts_json(value):
     return _counts_record('{"3:3": %s}' % value)
 
 
-def _counts_record(counts):
-    """A one-record counts file whose counts field is the JSON text ``counts``."""
-    return '{"records": [{"phi_deg": 15, "shots": 100, "counts": %s}]}' % counts
+def _counts_record(counts, seed="null"):
+    """A one-record counts file whose counts and seed fields are the JSON
+    texts ``counts`` and ``seed``."""
+    return (
+        '{"seed": %s, "records": [{"phi_deg": 15, "shots": 100, "counts": %s}]}'
+        % (seed, counts)
+    )
 
 
 class TestExitContract:
+    @staticmethod
+    def _exits_with_one_line(capsys, tmp_path, text, argv, status, prefix):
+        """Run ``argv`` with ``{file}`` holding ``text``; return its one line
+        of stderr after checking the exit status and that stdout is empty."""
+        path = tmp_path / "input"
+        path.write_text(text)
+        code, out, err = _run(capsys, [a.replace("{file}", str(path)) for a in argv])
+        assert code == status
+        assert out == ""
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1 and err.endswith("\n")
+        return err
+
     @pytest.mark.parametrize(
         "text, argv, fragment",
         [
@@ -706,6 +737,16 @@ class TestExitContract:
              "--visibility must be a finite number"),
             (_counts_record("[1, 2]"), _ESTIMATE, "record counts must be a JSON object"),
             (_counts_record('"3:3=5"'), _ESTIMATE, "record counts must be a JSON object"),
+            (json.dumps({**_PLAN, "model": {"kind": "affine", "visiblity": 0.5}}),
+             _SIMULATE, "unknown model settings ['visiblity']"),
+            (json.dumps({**_PLAN, "model": {"n": 4, "outcome": "2:2"}}), _SIMULATE,
+             "unknown model settings ['n']"),
+            (_counts_record("{}", '"x"'), _ESTIMATE, "counts seed must be a finite number"),
+            (_counts_record("{}", "1.5"), _ESTIMATE, "counts seed must be a whole number"),
+            (_counts_record("{}", "true"), _ESTIMATE, "counts seed must be a finite number"),
+            ("phi_deg,shots,counts\n15,100,3:3=5\n# seed=1.5\n", _ESTIMATE,
+             "counts seed must be a whole number"),
+            ("", ["scaling", "--n-max", "100000000"], "scaling table"),
         ],
         ids=["plan-n-abc", "plan-negative-seed", "plan-fractional-n",
              "plan-fractional-shots", "plan-nan-phase", "counts-text-phase",
@@ -714,18 +755,40 @@ class TestExitContract:
              "plan-phases-not-list", "plan-detectors-not-object",
              "plan-model-not-object", "fringe-nan-amplitude",
              "fisher-nan-visibility-sigma", "fringe-inf-visibility",
-             "counts-json-list", "counts-json-string"],
+             "counts-json-list", "counts-json-string", "plan-model-misspelt-key",
+             "plan-model-n", "counts-json-text-seed", "counts-json-fractional-seed",
+             "counts-json-bool-seed", "counts-csv-fractional-seed",
+             "scaling-oversized-table"],
     )
     def test_malformed_input_exits_2_with_one_line(
         self, capsys, tmp_path, text, argv, fragment
     ):
-        path = tmp_path / "input"
-        path.write_text(text)
-        code, out, err = _run(capsys, [a.replace("{file}", str(path)) for a in argv])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("fringelab: error: ")
-        assert err.count("\n") == 1 and err.endswith("\n")
+        err = self._exits_with_one_line(
+            capsys, tmp_path, text, argv, 2, "fringelab: error: "
+        )
+        assert fragment in err
+
+    @pytest.mark.parametrize(
+        "text, argv, fragment",
+        [
+            (json.dumps({**_PLAN, "model": {"kind": "affine"}, "detectors": {"k": 5}}),
+             _SIMULATE, "takes no detectors"),
+            (json.dumps({**_PLAN, "model": {"outcome": "2:2"}}), _SIMULATE,
+             "2:2 has 4 photons, model has 6"),
+            (_counts_record('{"3:4": 4}'), [*_ESTIMATE, "--model", "ideal"],
+             "3:4 has 7 photons, state has 6"),
+            (_counts_record('{"3:4": 4}'), [*_ESTIMATE, "--model", "noon-cosine"],
+             "3:4 has 7 photons, state has 6"),
+        ],
+        ids=["plan-model-with-detectors", "plan-model-outcome-of-other-n",
+             "mle-ideal-pattern-of-other-n", "mle-noon-pattern-of-other-n"],
+    )
+    def test_physics_violation_exits_3_with_one_line(
+        self, capsys, tmp_path, text, argv, fragment
+    ):
+        err = self._exits_with_one_line(
+            capsys, tmp_path, text, argv, 3, "fringelab: physics error: "
+        )
         assert fragment in err
 
     @pytest.mark.parametrize(

@@ -59,6 +59,15 @@ class TestExperimentPlan:
         with pytest.raises(PhysicsError):
             ExperimentPlan("hb", 6, (0.1,), 0, 7)
 
+    def test_model_plan_has_the_plans_n_and_no_detectors(self):
+        # The binomial model draw has no detector path.
+        with pytest.raises(PhysicsError, match="takes no detectors"):
+            ExperimentPlan("hb", 6, (0.1,), 100, 7, detectors=DetectorArrayConfig(5, 1.0),
+                           model=IDEAL33)
+        with pytest.raises(PhysicsError, match="N = 4 photons, the plan N = 6"):
+            ExperimentPlan("hb", 6, (0.1,), 100, 7,
+                           model=ideal_model("hb", 4, OutcomePattern(2, 2)))
+
     def test_detectors_must_be_able_to_record_n_photons(self):
         config = DetectorArrayConfig(detectors_per_port=3, efficiency=0.9)
         ExperimentPlan("hb", 6, (0.1,), 100, 7, detectors=config)
@@ -441,6 +450,12 @@ class TestMlePhase:
         records = [CountRecord(phi=0.0, shots=1000, outcome_counts=counts)]
         with pytest.raises(PhysicsError, match="2:2 has 4 photons"):
             mle_phase(records, hb_state(6), self.INTERVAL)
+
+    @pytest.mark.parametrize("model", [IDEAL33, NOON09], ids=["affine", "noon-cosine"])
+    def test_binomial_rejects_patterns_of_another_photon_number(self, model):
+        records = [CountRecord(phi=0.0, shots=10, outcome_counts={OutcomePattern(3, 4): 4})]
+        with pytest.raises(PhysicsError, match="3:4 has 7 photons, state has 6"):
+            mle_phase(records, model, self.INTERVAL)
 
     def test_multinomial_needs_events(self):
         records = [CountRecord(phi=0.0, shots=10, outcome_counts={})]

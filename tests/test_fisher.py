@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fringelab import (
+    FringeModel,
     OutcomePattern,
     PhysicsError,
     affine_from_visibility,
-    affine_model,
     beam_splitter_matrix,
     find_peak,
     full_fisher,
@@ -140,7 +140,7 @@ class TestSingleFringeFisherModel:
         "model, phi0, limit",
         [
             (ideal_model("hb", 6, O33), 0.0, 24.0),
-            (affine_model("hb", 6, O33, 0.75, 0.25), 0.0, 18.0),
+            (FringeModel("affine", "hb", 6, O33, 0.75, 0.25), 0.0, 18.0),
             (noon_cosine_model(6, visibility=1.0, amplitude=0.5), 0.0, 36.0),
             (noon_cosine_model(6, visibility=1.0), 30 * DEG, 22.5),
         ],
@@ -160,7 +160,7 @@ class TestSingleFringeFisherModel:
         assert single_fringe_fisher_model(model, 0.0) == 0.0
 
     def test_affine_example_at_15_degrees(self):
-        model = affine_model("hb", 6, O33, 0.9691, 0.0309)
+        model = FringeModel("affine", "hb", 6, O33, 0.9691, 0.0309)
         phi = 15 * DEG
         p = 0.9691 * p33_closed_form(phi) + 0.0309
         g = 0.625 * math.cos(3 * phi) + 0.375 * math.cos(phi)
@@ -404,23 +404,23 @@ class TestProfilesAndPeaks:
         "model",
         [
             affine_from_visibility("hb", 6, O33, 0.94),
-            affine_model("hb", 6, O33, 0.8, 0.1),
+            FringeModel("affine", "hb", 6, O33, 0.8, 0.1),
             noon_cosine_model(6, visibility=0.94),
             noon_cosine_model(6, visibility=0.7, amplitude=0.4),
+            ideal_model("hb", 6, O33),
         ],
-        ids=["affine-0.94", "affine-0.8-0.1", "noon-0.94", "noon-0.7-0.4"],
+        ids=["affine-0.94", "affine-0.8-0.1", "noon-0.94", "noon-0.7-0.4", "ideal"],
     )
     def test_model_fisher_sigma_matches_central_difference(self, model):
-        if model.kind == "affine":
-            params = np.array([model.amplitude, model.offset])
+        names = ("amplitude", "offset" if model.kind == "affine" else "visibility")
+        params = np.array([getattr(model, name) for name in names])
 
-            def build(a, b):
-                return affine_model("hb", 6, O33, a, b)
-        else:
-            params = np.array([model.amplitude, model.visibility])
-
-            def build(q, vis):
-                return noon_cosine_model(6, O33, visibility=vis, amplitude=q)
+        def build(*values):
+            # The exact fringe sits on the edge a + b = 1 of the valid
+            # region, so the stepped models skip the validity checks.
+            stepped = object.__new__(FringeModel)
+            stepped.__dict__.update(vars(model), **dict(zip(names, values)))
+            return stepped
 
         cov = np.array([[3e-4, -1e-4], [-1e-4, 2e-4]])
         for phi in (3 * DEG, 9 * DEG, 15 * DEG, 21 * DEG, 28 * DEG):

@@ -12,7 +12,6 @@ from fringelab import (
     OutcomePattern,
     PhysicsError,
     affine_from_visibility,
-    affine_model,
     apply_model,
     dual_fock,
     fit_fringe,
@@ -252,7 +251,8 @@ class TestParityExpectation:
 class TestFringeModel:
     def test_affine_identity_parameters_match_ideal(self):
         ideal = ideal_model("hb", 6, O33)
-        affine = affine_model("hb", 6, O33, 1.0, 0.0)
+        affine = FringeModel("affine", "hb", 6, O33, 1.0, 0.0)
+        assert ideal == affine
         for phi in np.linspace(0, math.pi, 19):
             assert apply_model(affine, phi) == pytest.approx(
                 apply_model(ideal, phi), abs=1e-15
@@ -355,16 +355,18 @@ class TestFringeModel:
                 assert fun(float(phi)) == pytest.approx(value, rel=1e-13), name
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(PhysicsError):
-            FringeModel("spline", "hb", 6, O33)
+        # The exact fringe is the affine member a = 1, b = 0, not a kind.
+        for kind in ("spline", "ideal"):
+            with pytest.raises(PhysicsError, match="unknown fringe model kind"):
+                FringeModel(kind, "hb", 6, O33)
 
     def test_outcome_mismatch_rejected(self):
-        with pytest.raises(PhysicsError):
-            FringeModel("ideal", "hb", 6, OutcomePattern(2, 2))
+        with pytest.raises(PhysicsError, match="2:2 has 4 photons"):
+            FringeModel("affine", "hb", 6, OutcomePattern(2, 2))
 
     def test_affine_exceeding_unit_probability_rejected(self):
         with pytest.raises(PhysicsError):
-            affine_model("hb", 6, O33, 0.9, 0.2)
+            FringeModel("affine", "hb", 6, O33, 0.9, 0.2)
 
     def test_noon_cosine_offset_rejected(self):
         # The noon-cosine fringe q (1 + V cos N phi) has no offset term, so
@@ -463,7 +465,7 @@ class TestFitFringe:
         assert result.model.kind == "noon-cosine"
 
     def test_recovers_planted_affine_parameters(self):
-        truth = affine_model("hb", 6, O33, 0.9691, 0.0309)
+        truth = FringeModel("affine", "hb", 6, O33, 0.9691, 0.0309)
         plan = ExperimentPlan(
             "hb", 6, tuple(np.arange(0, 91, 7.5) * DEG), 10_000, 91521, model=truth
         )
@@ -473,7 +475,7 @@ class TestFitFringe:
         assert result.visibility == pytest.approx(0.94, abs=0.02)
 
     def test_covariance_shrinks_with_shots(self):
-        truth = affine_model("hb", 6, O33, 0.9691, 0.0309)
+        truth = FringeModel("affine", "hb", 6, O33, 0.9691, 0.0309)
         sigmas = []
         for shots in (1_000, 16_000):
             plan = ExperimentPlan(

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from fringelab import (
     CountRecord,
     DetectorArrayConfig,
+    FringeModel,
     OutcomePattern,
-    affine_model,
     basis_state,
     beam_splitter_matrix,
     build_state,
@@ -75,7 +75,7 @@ def test_probability_and_complement_sum_to_one(fringe, phi, weight, share):
     models = [
         ideal_model(kind, total, outcome),
         # a + b <= 1 and q (1 + V) <= 1 by construction.
-        affine_model(kind, total, outcome, weight, share * (1.0 - weight)),
+        FringeModel("affine", kind, total, outcome, weight, share * (1.0 - weight)),
         noon_cosine_model(total, outcome, visibility=share, amplitude=weight / 2.0),
     ]
     for model in models:
