@@ -11,9 +11,9 @@ Subcommands:
 Angles cross this boundary in degrees; the library core works in
 radians. Numbers are written with 12 significant digits in both output
 formats, so the CSV and JSON emissions of one run parse to identical
-values. Exit status is 0 on success, 2 for usage problems, and 3 when a
-physics constraint is violated (odd N for an HB state, outcome photon
-totals that do not match N, and the like).
+values. Exit status is 0 on success, 2 for usage problems or a run out
+of memory, and 3 when a physics constraint is violated (odd N for an HB
+state, outcome photon totals that do not match N, and the like).
 """
 
 from __future__ import annotations
@@ -789,6 +789,13 @@ def main(argv: list[str] | None = None) -> int:
     except PhysicsError as exc:
         print(f"fringelab: physics error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(
+            "fringelab: error: needs more memory than is available; "
+            "use a coarser grid or a smaller N",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from .fringes import (
     fringe_probabilities,
     output_amplitudes,
     _P_TOL,
+    _check_totals,
     _curvatures,
     _model_curvature,
     _model_fringe,
@@ -156,8 +157,10 @@ def direct_fisher_from_data(
             omitted.
 
     Raises:
-        PhysicsError: fewer than three distinct phases in the window.
+        PhysicsError: a recorded pattern whose photon total is not the
+            outcome's, or fewer than three distinct phases in the window.
     """
+    _check_totals(records, outcome.total)
     rows = sorted(
         (r.phi, float(r.outcome_counts.get(outcome, 0.0)) / r.shots, r.shots)
         for r in records
@@ -253,7 +256,7 @@ def mle_phase(
     weights = np.zeros(model.total_photons + 1)
     for r in records:
         for pat, c in r.outcome_counts.items():
-            weights[_outcome_index(model, pat)] += c
+            weights[_outcome_index(model.total_photons, pat)] += c
 
     if isinstance(model, TwoModeState):
         if not weights.any():
@@ -267,7 +270,7 @@ def mle_phase(
 
     else:
         # Two categories: the outcome and its complement, without cancellation.
-        hits = weights[_outcome_index(model, model.outcome)]
+        hits = weights[_outcome_index(model.total_photons, model.outcome)]
         weights = np.array([hits, sum(r.shots for r in records) - hits])
 
         def categories(phi):

@@ -83,7 +83,7 @@ def full_fisher(state: TwoModeState, phi):
     terms = np.where(
         singular, 4.0 * np.abs(amp_h) ** 2, dp * dp / np.where(singular, 1.0, p)
     )
-    return _like_phi(terms.sum(axis=-1), phi)
+    return _like_phi(terms.sum(axis=-1))
 
 
 def single_fringe_fisher(state: TwoModeState, outcome: OutcomePattern, phi):
@@ -97,18 +97,20 @@ def single_fringe_fisher(state: TwoModeState, outcome: OutcomePattern, phi):
     points where naive subtraction would cancel catastrophically).
     """
     p, rest, dp, _ = _one_fringe(state, outcome, phi)
-    return _like_phi(_binary_fisher(p, rest, dp), phi)
+    return _like_phi(_binary_fisher(p, rest, dp))
 
 
 def _binary_fisher(p, rest, dp):
     """Binary Fisher term dp^2 / (p rest), with the complement probability
     passed separately so callers can supply it without cancellation."""
     denom = p * rest
-    vanishing = (p < _P_TOL) | (rest < _P_TOL) | (denom <= 0.0)
-    removable = (np.abs(dp) < _DP_TOL) & vanishing
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(denom > 0.0, dp * dp / denom, np.inf)
-    return np.where(removable, 0.0, value)
+    value = np.divide(dp * dp, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
+    # Where both p and rest reach _P_TOL their product is positive, so the
+    # test on the smaller one also covers every point where denom is 0.
+    removable = np.abs(dp) < _DP_TOL
+    removable &= np.fmin(p, rest) < _P_TOL
+    value[removable] = 0.0
+    return value
 
 
 def single_fringe_fisher_model(model: FringeModel, phi):
@@ -116,7 +118,7 @@ def single_fringe_fisher_model(model: FringeModel, phi):
     complement taken without cancellation (see ``fringes._model_fringe``);
     the exact fringe (affine a = 1, b = 0) gives exactly
     ``single_fringe_fisher`` of its state."""
-    return _like_phi(_binary_fisher(*_model_fringe(model, phi)), phi)
+    return _like_phi(_binary_fisher(*_model_fringe(model, phi)))
 
 
 def model_fisher_sigma(model: FringeModel, cov: np.ndarray, phi):
@@ -141,7 +143,7 @@ def model_fisher_sigma(model: FringeModel, cov: np.ndarray, phi):
         0.0,
     )
     var = np.einsum("i...,ij,j...->...", grad, np.asarray(cov, dtype=float), grad)
-    return _like_phi(np.sqrt(np.maximum(var, 0.0)), phi)
+    return _like_phi(np.sqrt(np.maximum(var, 0.0)))
 
 
 def output_uncertainty_bound(outcome: OutcomePattern) -> float:
@@ -163,8 +165,8 @@ def optimality_certificate(
     overlap_bound = np.where(resolved, overlap / np.where(resolved, rest, 1.0), np.inf)
     output_bound = output_uncertainty_bound(outcome)
     return OptimalityReport(
-        fisher=_like_phi(fisher, phi),
-        overlap_bound=_like_phi(overlap_bound, phi),
+        fisher=_like_phi(fisher),
+        overlap_bound=_like_phi(overlap_bound),
         output_bound=output_bound,
         gradient_tight=_close(fisher, overlap_bound, phi),
         variance_tight=_close(overlap_bound, output_bound, phi),

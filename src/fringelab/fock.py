@@ -163,7 +163,8 @@ def beam_splitter_matrix(total_photons: int) -> np.ndarray:
     B[N-k, c] = (-1)^(N-c) B[k, c] rather than from running on into the
     decaying tail, and each column is then scaled to unit norm. The sign of
     a column is carried from d_0, never read back from row 0, which
-    underflows at large N.
+    underflows at large N. Each row is computed in place in the matrix,
+    with one scratch vector.
 
     Against the exact expansion the largest entry error is 1.1e-16 at
     N <= 10 and 6.5e-16 at N = 200; at N = 4096 the matrix is symmetric
@@ -176,18 +177,20 @@ def beam_splitter_matrix(total_photons: int) -> np.ndarray:
     half = n // 2
     eigen = number_difference(n)
     k = np.arange(n + 1, dtype=float)
-    hop = np.sqrt((k + 1.0) * (n - k))  # hop[k] = sqrt((k+1)(N-k))
+    hop = np.sqrt((k + 1.0) * (n - k)).tolist()  # hop[k] = sqrt((k+1)(N-k))
     sign = np.where((n - k) % 2 == 0, 1.0, -1.0)
     mat = np.empty((n + 1, n + 1))
     mat[0] = sign
     prev = np.zeros(n + 1)  # d_{-1}
+    scratch = np.empty(n + 1)
     for row in range(half):
-        step = (eigen * mat[row] - hop[row - 1] * prev) / hop[row]
-        big = np.abs(step) > 1e100
+        step = np.multiply(eigen, mat[row], out=mat[row + 1])
+        step -= np.multiply(hop[row - 1], prev, out=scratch)
+        step /= hop[row]
+        big = np.abs(step, out=scratch) > 1e100
         if big.any():
             mat[: row + 1, big] *= 1e-100
             step[big] *= 1e-100
-        mat[row + 1] = step
         prev = mat[row]
     mat[half + 1 :] = (mat[: n - half] * sign)[::-1]
     mat /= np.sqrt(np.einsum("ij,ij->j", mat, mat))

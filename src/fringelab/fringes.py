@@ -15,7 +15,15 @@ state psi(phi) = U(phi)|psi>, one column per phase of a whole grid:
   one-outcome quantity uses it: ``fringe_probability``, the fringe
   models, the single-fringe Fisher information and the binomial
   likelihood. Its complement 1 - p is the squared norm of what the
-  projection leaves of psi, never 1 minus p.
+  projection leaves of psi, never 1 minus p. The detection ket b and
+  h b, h^2 b, which give the derivative amplitudes, are cached per
+  (N, outcome) (:func:`_detection_kets`), so a call at one phase
+  multiplies no splitter row.
+
+The generator h = (n1 - n2)/2 is odd about the middle row, so
+:func:`_rotated` takes the exponentials exp(-i h phi) of rows 0..N/2 only
+and mirrors their conjugates into rows N/2+1..N; the result is bit for
+bit the direct exponential of every row.
 
 Probabilities are exact; first and second derivatives come from the
 phase generator.
@@ -134,13 +142,22 @@ class CountRecord:
             )
 
 
-def _outcome_index(state: TwoModeState | FringeModel, outcome: OutcomePattern) -> int:
-    if outcome.total != state.total_photons:
+def _outcome_index(total_photons: int, outcome: OutcomePattern) -> int:
+    if outcome.total != total_photons:
         raise PhysicsError(
             f"outcome {outcome} has {outcome.total} photons, state has "
-            f"{state.total_photons}"
+            f"{total_photons}"
         )
     return outcome.out_port_1
+
+
+def _check_totals(records: list[CountRecord], total_photons: int) -> None:
+    """Refuse a recorded pattern whose photon total is not N: the fit and
+    the direct estimate read one outcome's counts, and would otherwise
+    drop the others silently."""
+    for record in records:
+        for pattern in record.outcome_counts:
+            _outcome_index(total_photons, pattern)
 
 
 #: Roundoff floor of a computed outcome probability. Amplitudes carry an
@@ -150,9 +167,10 @@ def _outcome_index(state: TwoModeState | FringeModel, outcome: OutcomePattern) -
 _P_TOL = 1e-26
 
 
-def _like_phi(value, phi):
-    """``value`` as a float when ``phi`` is a scalar, else as an array."""
-    return float(value) if np.ndim(phi) == 0 else value
+def _like_phi(value):
+    """A phase function's ``value``, which has the shape of its phase: a
+    float for a scalar phase, else the array."""
+    return float(value) if value.ndim == 0 else value
 
 
 @lru_cache(maxsize=4)
@@ -178,10 +196,33 @@ def _apply_jx(amps: np.ndarray, total_photons: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=4)
+def _phase_rates(total_photons: int) -> np.ndarray:
+    """-i h on rows 0..N/2 as a column, the exponent of U(phi) per unit
+    phase; read-only."""
+    rates = -1j * _generator_powers(total_photons)[1, : total_photons // 2 + 1, None]
+    rates.setflags(write=False)
+    return rates
+
+
 def _rotated(state: TwoModeState, phis: np.ndarray) -> np.ndarray:
-    """psi(phi) = U(phi)|psi>, one column per phase: shape (N+1, phis.size)."""
-    h = _generator_powers(state.total_photons)[1]
-    return state.amplitudes[:, None] * np.exp(-1j * h[:, None] * phis.ravel())
+    """psi(phi) = U(phi)|psi>, one column per phase: shape (N+1, phis.size).
+
+    h is odd about the middle row, so only rows 0..N/2 take an
+    exponential; row N - k of the phase factors is the conjugate of row k.
+    Adding 0.0 turns the -0.0 imaginary parts that conjugation gives at
+    phi = 0 into the +0.0 of the direct exponential, so every bit matches
+    exp(-i h phi) on all rows.
+    """
+    n = state.total_photons
+    half = n // 2
+    factors = np.empty((n + 1, phis.size), dtype=complex)
+    np.exp(_phase_rates(n) * phis.ravel(), out=factors[: half + 1])
+    mirrored = np.conjugate(factors[: n - half][::-1], out=factors[half + 1 :])
+    mirrored += 0.0
+    # The amplitudes stay the first operand: with fused multiply-adds the
+    # complex product can round differently when its operands swap.
+    return np.multiply(state.amplitudes[:, None], factors, out=factors)
 
 
 def output_amplitudes(state: TwoModeState, phi):
@@ -208,13 +249,13 @@ def output_amplitudes(state: TwoModeState, phi):
 
 def _probability_and_slope(amp, amp_h):
     """Outcome probability |A|^2 and its phase derivative 2 Im[conj(A) A_h]."""
-    return np.abs(amp) ** 2, 2.0 * np.imag(np.conj(amp) * amp_h)
+    return np.abs(amp) ** 2, 2.0 * (np.conj(amp) * amp_h).imag
 
 
 def fringe_probability(state: TwoModeState, outcome: OutcomePattern, phi):
     """Probability of detecting ``outcome`` after phase ``phi`` (radians)
     and the recombining beam splitter."""
-    return _like_phi(_one_fringe(state, outcome, phi)[0], phi)
+    return _like_phi(_one_fringe(state, outcome, phi)[0])
 
 
 def fringe_probabilities(state: TwoModeState, phi) -> np.ndarray:
@@ -237,6 +278,14 @@ def _base_state(state_kind: str, total_photons: int) -> TwoModeState:
     return build_state(state_kind, total_photons)
 
 
+@lru_cache(maxsize=32)
+def _detection_kets(total_photons: int, row: int) -> np.ndarray:
+    """Rows b, h b and h^2 b of the detection ket b = B[row]; read-only."""
+    kets = _generator_powers(total_photons)[:3] * beam_splitter_matrix(total_photons)[row]
+    kets.setflags(write=False)
+    return kets
+
+
 def _row_amplitudes(state: TwoModeState, outcome: OutcomePattern, phi, order: int):
     """The one-row kernel: psi(phi) as columns (see :func:`_rotated`), the
     detection ket b = B[m] of the outcome, and A_j = <m|B h^j U(phi)|psi>
@@ -247,11 +296,10 @@ def _row_amplitudes(state: TwoModeState, outcome: OutcomePattern, phi, order: in
     """
     n = state.total_photons
     phis = np.asarray(phi, dtype=float)
-    ket = beam_splitter_matrix(n)[_outcome_index(state, outcome)]
+    kets = _detection_kets(n, _outcome_index(n, outcome))
     psi = _rotated(state, phis)
-    kets = _generator_powers(n)[: order + 1] * ket
-    amps = (kets @ psi.view(float)).view(complex)
-    return psi, ket, amps.reshape((order + 1,) + phis.shape)
+    amps = (kets[: order + 1] @ psi.view(float)).view(complex)
+    return psi, kets[0], amps.reshape((order + 1,) + phis.shape)
 
 
 def _one_fringe(state: TwoModeState, outcome: OutcomePattern, phi):
@@ -262,10 +310,14 @@ def _one_fringe(state: TwoModeState, outcome: OutcomePattern, phi):
     outcomes k; nothing is subtracted from 1.
     """
     psi, ket, (amp, amp_h) = _row_amplitudes(state, outcome, phi, 1)
-    resid = psi.view(float) - ket[:, None] * np.ravel(amp).view(float)
+    # The real ket times the complex A rounds as the two real products do;
+    # only the sign of a zero can differ, and squaring drops it.
+    psi -= ket[:, None] * amp.ravel()
+    resid = psi.view(float)
+    resid *= resid
     # Per phase, the squares of the real column plus those of the imaginary.
-    squares = np.einsum("ij,ij->j", resid, resid).reshape(-1, 2)
-    rest = squares.sum(axis=1).reshape(np.shape(amp))
+    squares = np.add.reduce(resid, axis=0)
+    rest = (squares[0::2] + squares[1::2]).reshape(amp.shape)
     p, dp = _probability_and_slope(amp, amp_h)
     return p, rest, dp, amp_h
 
@@ -334,7 +386,7 @@ def _model_curvature(model: FringeModel, phi):
 def apply_model(model: FringeModel, phi):
     """Evaluate the model fringe probability; scalar in, scalar out
     (arrays pass through elementwise)."""
-    return _like_phi(_model_fringe(model, phi)[0], phi)
+    return _like_phi(_model_fringe(model, phi)[0])
 
 
 def ideal_model(state_kind: str, total_photons: int, outcome: OutcomePattern) -> FringeModel:
@@ -442,7 +494,8 @@ def fit_fringe(
             affine model (default Holland-Burnett).
 
     Raises:
-        PhysicsError: underdetermined data or singular normal equations.
+        PhysicsError: a recorded pattern whose photon total is not the
+            outcome's, underdetermined data or singular normal equations.
     """
     if model_kind not in _MODEL_KINDS:
         raise PhysicsError(
@@ -452,6 +505,7 @@ def fit_fringe(
     if not records:
         raise PhysicsError("no count records to fit")
     total = outcome.total
+    _check_totals(records, total)
     phis = np.array([r.phi for r in records], dtype=float)
     shots = np.array([r.shots for r in records], dtype=float)
     counts = np.array(

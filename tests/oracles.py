@@ -5,7 +5,9 @@ the beam splitter by exact integer expansion of the mode operators,
 probabilities by matrix arithmetic on that oracle matrix, derivatives by
 central finite differences, Fisher information by the probability-sum
 definition with numeric derivatives, and detector clicks by exhaustive
-enumeration of per-photon assignments.
+enumeration of per-photon assignments. One exception is kept on purpose:
+:func:`bs_matrix_row_loop` is the splitter recurrence written as a plain
+row loop, the bit-for-bit reference of the library's in-place form.
 """
 
 from __future__ import annotations
@@ -46,6 +48,31 @@ def bs_matrix_oracle(total: int) -> np.ndarray:
                 fac[k] * fac[total - k], fac[col] * fac[total - col] * 2**total
             )
             mat[k, col] = math.copysign(math.sqrt(float(c * c * scale)), c)
+    return mat
+
+
+def bs_matrix_row_loop(total: int) -> np.ndarray:
+    """The splitter by the mirrored three-term recurrence of
+    ``fringelab.fock.beam_splitter_matrix``, one new array per row and
+    numpy scalars for the hop values, with the same 1e-100 rescale."""
+    n, half = total, total // 2
+    eigen = 2.0 * np.arange(n + 1) - n
+    k = np.arange(n + 1, dtype=float)
+    hop = np.sqrt((k + 1.0) * (n - k))
+    sign = np.where((n - k) % 2 == 0, 1.0, -1.0)
+    mat = np.empty((n + 1, n + 1))
+    mat[0] = sign
+    prev = np.zeros(n + 1)
+    for row in range(half):
+        step = (eigen * mat[row] - hop[row - 1] * prev) / hop[row]
+        big = np.abs(step) > 1e100
+        if big.any():
+            mat[: row + 1, big] *= 1e-100
+            step[big] *= 1e-100
+        mat[row + 1] = step
+        prev = mat[row]
+    mat[half + 1 :] = (mat[: n - half] * sign)[::-1]
+    mat /= np.sqrt(np.einsum("ij,ij->j", mat, mat))
     return mat
 
 

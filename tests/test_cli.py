@@ -21,6 +21,7 @@ from fringelab import (
     p33_closed_form,
     simulate_counts,
 )
+from fringelab import cli
 from fringelab.cli import (
     _emit_table,
     _fmt,
@@ -664,6 +665,13 @@ _ESTIMATE = ["estimate", "--counts", "{file}", "--outcome", "3:3", "--method", "
 _HB6 = ["--state", "hb", "--n", "6", "--outcome", "3:3"]
 
 
+# A scan whose every recorded pattern holds 7 photons, read for the 6-photon
+# outcome 3:3.
+_COUNTS_OF_OTHER_N = (
+    "phi_deg,shots,counts\n0,100,3:4=90\n10,100,3:4=50\n20,100,3:4=10\n30,100,3:4=5\n"
+)
+
+
 def _counts_json(value):
     """A one-record counts file whose 3:3 count is the JSON text ``value``."""
     return _counts_record('{"3:3": %s}' % value)
@@ -779,9 +787,17 @@ class TestExitContract:
              "3:4 has 7 photons, state has 6"),
             (_counts_record('{"3:4": 4}'), [*_ESTIMATE, "--model", "noon-cosine"],
              "3:4 has 7 photons, state has 6"),
+            (_COUNTS_OF_OTHER_N,
+             ["estimate", "--counts", "{file}", "--outcome", "3:3", "--method", "fit"],
+             "3:4 has 7 photons, state has 6"),
+            (_COUNTS_OF_OTHER_N,
+             ["estimate", "--counts", "{file}", "--outcome", "3:3", "--method", "direct",
+              "--window", "0:30"],
+             "3:4 has 7 photons, state has 6"),
         ],
         ids=["plan-model-with-detectors", "plan-model-outcome-of-other-n",
-             "mle-ideal-pattern-of-other-n", "mle-noon-pattern-of-other-n"],
+             "mle-ideal-pattern-of-other-n", "mle-noon-pattern-of-other-n",
+             "fit-pattern-of-other-n", "direct-pattern-of-other-n"],
     )
     def test_physics_violation_exits_3_with_one_line(
         self, capsys, tmp_path, text, argv, fragment
@@ -790,6 +806,33 @@ class TestExitContract:
             capsys, tmp_path, text, argv, 3, "fringelab: physics error: "
         )
         assert fragment in err
+
+    @pytest.mark.parametrize(
+        "kernel, argv",
+        [
+            ("apply_model", ["fringe", *_HB6]),
+            ("single_fringe_fisher_model", ["fisher", "--mode", "single", *_HB6]),
+            ("full_fisher", ["fisher", "--mode", "full", "--state", "hb", "--n", "6"]),
+            ("simulate_counts", _SIMULATE),
+        ],
+        ids=["fringe", "fisher-single", "fisher-full", "simulate"],
+    )
+    def test_out_of_memory_exits_2_with_one_line(
+        self, capsys, tmp_path, monkeypatch, kernel, argv
+    ):
+        # The kernel raises as numpy does when an array cannot be allocated,
+        # without allocating anything.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, kernel, exhausted)
+        err = self._exits_with_one_line(
+            capsys, tmp_path, json.dumps(_PLAN), argv, 2, "fringelab: error: "
+        )
+        assert err == (
+            "fringelab: error: needs more memory than is available; "
+            "use a coarser grid or a smaller N\n"
+        )
 
     @pytest.mark.parametrize(
         "text",

@@ -7,6 +7,7 @@ Hypothesis draws are derandomized, so every run checks the same examples.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from fringelab import (
     DetectorArrayConfig,
     FringeModel,
     OutcomePattern,
+    TwoModeState,
     basis_state,
     beam_splitter_matrix,
     build_state,
@@ -31,9 +33,17 @@ from fringelab import (
 )
 from fringelab.cli import records_from_csv, records_from_json, records_to_csv, records_to_json
 from fringelab.detection import _recorded_probabilities
-from fringelab.fringes import _model_fringe, _probability_and_slope
+from fringelab.fisher import _DP_TOL, _binary_fisher
+from fringelab.fringes import (
+    _P_TOL,
+    _detection_kets,
+    _generator_powers,
+    _model_fringe,
+    _probability_and_slope,
+    _rotated,
+)
 
-from oracles import random_states
+from oracles import bs_matrix_row_loop, random_states
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
 
@@ -148,6 +158,89 @@ def test_recorded_probabilities_are_the_joint_click_table_bit_for_bit(total, see
                 joint = click_distribution(photons, config)
                 expected = [joint.get((m, total - m), 0.0) for m in range(total + 1)]
                 assert recorded.tolist() == expected, (k, eta)
+
+
+def _same_bits(x, y):
+    """Equal values, shapes and signs of zero."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(
+    total=st.integers(min_value=0, max_value=512),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    phis=st.one_of(
+        PHASES.map(np.array),
+        st.lists(st.one_of(PHASES, st.sampled_from([0.0, -0.0, -1e-300, -3.0])), max_size=6)
+        .map(np.array),
+    ),
+)
+def test_rotated_state_matches_the_full_exponential_bit_for_bit(total, seed, phis):
+    # Rows N/2 + 1..N of the phase factors are mirrored from rows 0..N/2.
+    # At phi = 0 their imaginary parts are exact zeros, whose sign shows in
+    # the rotated state only where an amplitude is -0.0, as in the named
+    # states; the unnormalized state keeps those signs.
+    rng = np.random.default_rng(seed)
+    amplitudes = random_states(total, 1, rng)[0]
+    amplitudes[rng.random(total + 1) < 0.5] = -0.0
+    state = TwoModeState(total, amplitudes)
+    h = 0.5 * (2.0 * np.arange(total + 1) - total)
+    for phases in (phis, np.array(0.0)):
+        expected = state.amplitudes[:, None] * np.exp(-1j * h[:, None] * phases.ravel())
+        assert _same_bits(_rotated(state, phases), expected)
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(total=st.integers(min_value=0, max_value=512), data=st.data())
+def test_detection_kets_are_the_generator_rows_times_the_splitter_row(total, data):
+    row = data.draw(st.integers(min_value=0, max_value=total))
+    expected = _generator_powers(total)[:3] * beam_splitter_matrix(total)[row]
+    assert np.array_equal(_detection_kets(total, row), expected)
+
+
+def _binary_fisher_reference(p, rest, dp):
+    """The binary Fisher term as an errstate context and three np.where."""
+    denom = p * rest
+    vanishing = (p < _P_TOL) | (rest < _P_TOL) | (denom <= 0.0)
+    removable = (np.abs(dp) < _DP_TOL) & vanishing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.where(denom > 0.0, dp * dp / denom, np.inf)
+    return np.where(removable, 0.0, value)
+
+
+# Both sides of each cutoff, exact zeros, underflowing products and the
+# slightly negative values a fringe model's slack allows.
+_EDGE_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, -1e-10, 1e-300, 1e-200, 0.5 * _P_TOL, _P_TOL, 2 * _P_TOL, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+_EDGE_SLOPES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5 * _DP_TOL, _DP_TOL, 2 * _DP_TOL, -0.5 * _DP_TOL, -_DP_TOL]),
+    st.floats(min_value=-50.0, max_value=50.0),
+)
+
+
+@DETERMINISTIC
+@given(
+    terms=st.lists(
+        st.tuples(_EDGE_PROBABILITIES, _EDGE_PROBABILITIES, _EDGE_SLOPES),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_binary_fisher_matches_the_errstate_form_bit_for_bit(terms):
+    p, rest, dp = (np.array(column) for column in zip(*terms))
+    assert _same_bits(_binary_fisher(p, rest, dp), _binary_fisher_reference(p, rest, dp))
+    # One phase: numpy scalars, as a fringe model gives them, and 0-d arrays.
+    for args in [(p[0], rest[0], dp[0]), (np.array(p[0]), np.array(rest[0]), np.array(dp[0]))]:
+        assert _same_bits(_binary_fisher(*args), _binary_fisher_reference(*args))
+
+
+@pytest.mark.parametrize("total", [200, 700, 1000])
+def test_splitter_matches_the_row_loop_bit_for_bit(total):
+    # The 1e-100 rescale first fires near N = 664.
+    assert _same_bits(beam_splitter_matrix(total), bs_matrix_row_loop(total))
 
 
 @st.composite
