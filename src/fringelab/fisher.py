@@ -12,8 +12,8 @@ single-fringe value there is zero by convention. Every other term is
 evaluated as written (near a dark fringe it is the dominant
 contribution).
 
-Every function that takes a phase accepts a scalar (and returns a
-scalar) or an array of phases (and returns an array of that shape).
+Every function that takes a phase accepts a scalar (and returns a Python
+float) or an array of phases (and returns an array of that shape).
 
 The per-outcome ceiling is the second moment of the photon-number
 difference carried by the back-propagated detection ket,
@@ -103,6 +103,13 @@ def single_fringe_fisher(state: TwoModeState, outcome: OutcomePattern, phi):
 def _binary_fisher(p, rest, dp):
     """Binary Fisher term dp^2 / (p rest), with the complement probability
     passed separately so callers can supply it without cancellation."""
+    if isinstance(p, float):
+        # One phase: the same tests on floats, with 'p < tol or rest < tol'
+        # equal to fmin(p, rest) < tol also for a NaN operand.
+        if abs(dp) < _DP_TOL and (p < _P_TOL or rest < _P_TOL):
+            return 0.0
+        denom = p * rest
+        return dp * dp / denom if denom > 0.0 else math.inf
     denom = p * rest
     value = np.divide(dp * dp, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
     # Where both p and rest reach _P_TOL their product is positive, so the

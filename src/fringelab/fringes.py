@@ -18,7 +18,10 @@ state psi(phi) = U(phi)|psi>, one column per phase of a whole grid:
   projection leaves of psi, never 1 minus p. The detection ket b and
   h b, h^2 b, which give the derivative amplitudes, are cached per
   (N, outcome) (:func:`_detection_kets`), so a call at one phase
-  multiplies no splitter row.
+  multiplies no splitter row. A scalar phase is one column of psi with
+  the same products as a one-phase grid, and its few per-phase
+  operations run on Python floats rather than 0-d arrays; the values
+  keep their bits.
 
 The generator h = (n1 - n2)/2 is odd about the middle row, so
 :func:`_rotated` takes the exponentials exp(-i h phi) of rows 0..N/2 only
@@ -69,7 +72,9 @@ class FringeModel:
     ``outcome`` the detection pattern whose fringe is modeled. For the
     affine family the visibility field is derived, not given: it is set to
     a/(a+2b), the fringe contrast when the exact fringe spans [0, 1]
-    (0 when a + 2b = 0), whatever value is passed.
+    (0 when a + 2b = 0), whatever value is passed. An amplitude or offset
+    within 1e-9 below 0 is roundoff of 0 and is stored as 0, so that no
+    model gives a negative probability.
     """
 
     kind: str
@@ -81,6 +86,9 @@ class FringeModel:
     visibility: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("amplitude", "offset"):
+            if -_VALID_SLACK <= getattr(self, name) < 0.0:
+                object.__setattr__(self, name, 0.0)
         if self.kind == "affine":
             denom = self.amplitude + 2.0 * self.offset
             vis = self.amplitude / denom if denom > 0.0 else 0.0
@@ -170,10 +178,12 @@ _P_TOL = 1e-26
 def _like_phi(value):
     """A phase function's ``value``, which has the shape of its phase: a
     float for a scalar phase, else the array."""
-    return float(value) if value.ndim == 0 else value
+    # isinstance first: np.ndim of a float costs about 1 us, a tenth of a
+    # one-phase call.
+    return float(value) if isinstance(value, float) or np.ndim(value) == 0 else value
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)
 def _generator_powers(total_photons: int) -> np.ndarray:
     """Rows 1, h and h^2 of the phase generator h = (n1 - n2)/2 along the
     basis, then the off-diagonal (1/2) sqrt((k+1)(N-k)) of J_x = B h B,
@@ -196,7 +206,7 @@ def _apply_jx(amps: np.ndarray, total_photons: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)
 def _phase_rates(total_photons: int) -> np.ndarray:
     """-i h on rows 0..N/2 as a column, the exponent of U(phi) per unit
     phase; read-only."""
@@ -308,7 +318,32 @@ def _one_fringe(state: TwoModeState, outcome: OutcomePattern, phi):
     The complement is the squared norm of the residual psi - A b, which
     by the orthogonality of B is the sum of |A_k|^2 over the other
     outcomes k; nothing is subtracted from 1.
+
+    A scalar phase gives Python floats (A_h a numpy complex) with the bits
+    of the 0-d array form: psi is one column, so BLAS makes the call it
+    makes for a one-phase grid, and the rest is scalar arithmetic.
     """
+    if isinstance(phi, float) or np.ndim(phi) == 0:
+        phi = float(phi)
+        n = state.total_photons
+        half = n // 2
+        kets = _detection_kets(n, _outcome_index(n, outcome))
+        factors = np.empty((n + 1, 1), dtype=complex)
+        np.exp(_phase_rates(n) * phi, out=factors[: half + 1])
+        # Unlike _rotated, the -0.0 that conjugation gives at phi = 0 stays:
+        # it changes the sign of zeros in psi only, and the products below
+        # sum from +0.0 and square the residual, so no output sees it.
+        np.conjugate(factors[: n - half][::-1], out=factors[half + 1 :])
+        psi = np.multiply(state.amplitudes[:, None], factors, out=factors)
+        amps = (kets[:2] @ psi.view(float)).view(complex)
+        amp, amp_h = amps[0, 0], amps[1, 0]
+        psi -= kets[0][:, None] * amp
+        resid = psi.view(float)
+        resid *= resid
+        re2, im2 = np.add.reduce(resid, axis=0).tolist()
+        ar, ai, hr, hi = amps.view(float).ravel().tolist()
+        # numpy's complex abs, then libm pow, as the 0-d form rounds.
+        return float(np.abs(amp)) ** 2, re2 + im2, 2.0 * (ar * hi + (-ai) * hr), amp_h
     psi, ket, (amp, amp_h) = _row_amplitudes(state, outcome, phi, 1)
     # The real ket times the complex A rounds as the two real products do;
     # only the sign of a zero can differ, and squaring drops it.

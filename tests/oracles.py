@@ -5,9 +5,11 @@ the beam splitter by exact integer expansion of the mode operators,
 probabilities by matrix arithmetic on that oracle matrix, derivatives by
 central finite differences, Fisher information by the probability-sum
 definition with numeric derivatives, and detector clicks by exhaustive
-enumeration of per-photon assignments. One exception is kept on purpose:
+enumeration of per-photon assignments. Two exceptions are kept on
+purpose, each the bit-for-bit reference of a faster library form:
 :func:`bs_matrix_row_loop` is the splitter recurrence written as a plain
-row loop, the bit-for-bit reference of the library's in-place form.
+row loop, and :func:`one_fringe_0d` is the one-row kernel and binary
+Fisher term in 0-d array arithmetic.
 """
 
 from __future__ import annotations
@@ -74,6 +76,37 @@ def bs_matrix_row_loop(total: int) -> np.ndarray:
     mat[half + 1 :] = (mat[: n - half] * sign)[::-1]
     mat /= np.sqrt(np.einsum("ij,ij->j", mat, mat))
     return mat
+
+
+def one_fringe_0d(amplitudes, ket, phi, p_tol: float, dp_tol: float):
+    """One outcome's p, 1 - p, dp/dphi, A_h and binary Fisher term at one
+    phase, in the 0-d array form of ``fringelab.fringes._one_fringe`` and
+    ``fringelab.fisher._binary_fisher``.
+
+    ``ket`` is the outcome's splitter row b; psi(phi) is the direct
+    exponential of every row, A_j = (h^j b) . psi, and the complement is
+    the squared norm of psi - A b, summed over the real and imaginary
+    columns. Returns numpy scalars and 0-d arrays.
+    """
+    amplitudes = np.asarray(amplitudes)
+    total = amplitudes.size - 1
+    h = 0.5 * (2.0 * np.arange(total + 1) - total)
+    kets = np.stack([np.ones_like(h), h]) * ket
+    phis = np.asarray(phi, dtype=float)
+    psi = amplitudes[:, None] * np.exp(-1j * h[:, None] * phis.ravel())
+    amp, amp_h = (kets @ psi.view(float)).view(complex).reshape((2,) + phis.shape)
+    psi -= kets[0][:, None] * amp.ravel()
+    resid = psi.view(float)
+    resid *= resid
+    squares = np.add.reduce(resid, axis=0)
+    rest = (squares[0::2] + squares[1::2]).reshape(amp.shape)
+    p, dp = np.abs(amp) ** 2, 2.0 * (np.conj(amp) * amp_h).imag
+    denom = p * rest
+    value = np.divide(dp * dp, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
+    removable = np.abs(dp) < dp_tol
+    removable &= np.fmin(p, rest) < p_tol
+    value[removable] = 0.0
+    return p, rest, dp, amp_h, value
 
 
 def fringe_probs_oracle(total: int, amplitudes, phi: float) -> np.ndarray:

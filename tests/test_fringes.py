@@ -47,6 +47,31 @@ DEG = math.pi / 180.0
 O33 = OutcomePattern(3, 3)
 
 
+_AFFINE = affine_from_visibility("hb", 6, O33, 0.94)
+_COSINE = noon_cosine_model(6, visibility=0.94)
+_COV = np.array([[3e-4, -1e-4], [-1e-4, 2e-4]])
+
+#: Every public function of the phase, with the affine family on the
+#: one-row kernel and the noon-cosine family in closed form.
+_PHASE_FUNCTIONS = {
+    "fringe_probability": lambda phi: fringe_probability(hb_state(6), O33, phi),
+    "apply_model affine": lambda phi: apply_model(_AFFINE, phi),
+    "apply_model cosine": lambda phi: apply_model(_COSINE, phi),
+    "single_fringe_fisher": lambda phi: single_fringe_fisher(hb_state(6), O33, phi),
+    "single_fringe_fisher_model affine": lambda phi: single_fringe_fisher_model(_AFFINE, phi),
+    "single_fringe_fisher_model cosine": lambda phi: single_fringe_fisher_model(_COSINE, phi),
+    "model_fisher_sigma affine": lambda phi: model_fisher_sigma(_AFFINE, _COV, phi),
+    "model_fisher_sigma cosine": lambda phi: model_fisher_sigma(_COSINE, _COV, phi),
+    "full_fisher": lambda phi: full_fisher(hb_state(6), phi),
+    "optimality_certificate fisher": lambda phi: optimality_certificate(
+        hb_state(6), O33, phi
+    ).fisher,
+    "optimality_certificate overlap_bound": lambda phi: optimality_certificate(
+        hb_state(6), O33, phi
+    ).overlap_bound,
+}
+
+
 def _closed_form_g(phi: float) -> float:
     return 0.625 * math.cos(3 * phi) + 0.375 * math.cos(phi)
 
@@ -303,9 +328,7 @@ class TestFringeModel:
         # Array evaluation may sum amplitude terms in a different order, so
         # agreement is to rounding, not bit-exact.
         state = make_state(6, random_states(6, 1, np.random.default_rng(5))[0])
-        affine = affine_from_visibility("hb", 6, O33, 0.94)
-        cosine = noon_cosine_model(6, visibility=0.94)
-        cov = np.array([[3e-4, -1e-4], [-1e-4, 2e-4]])
+        affine, cosine, cov = _AFFINE, _COSINE, _COV
         functions = {
             "output_amplitudes": lambda phi: np.stack(
                 output_amplitudes(state, phi), axis=-2
@@ -354,6 +377,18 @@ class TestFringeModel:
             for phi, value in zip(phis, batch):
                 assert fun(float(phi)) == pytest.approx(value, rel=1e-13), name
 
+    @pytest.mark.parametrize("name", sorted(_PHASE_FUNCTIONS))
+    def test_return_type_follows_the_phase(self, name):
+        # A scalar phase, whether a Python float, a numpy scalar or a 0-d
+        # array, gives a Python float on either kernel path; an array of
+        # phases gives an array of its shape.
+        fun = _PHASE_FUNCTIONS[name]
+        for phi in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(fun(phi)) is float, (name, type(phi))
+        for phis in (np.array([0.3]), np.linspace(0.0, 1.0, 6).reshape(2, 3)):
+            value = fun(phis)
+            assert isinstance(value, np.ndarray) and value.shape == phis.shape, name
+
     def test_unknown_kind_rejected(self):
         # The exact fringe is the affine member a = 1, b = 0, not a kind.
         for kind in ("spline", "ideal"):
@@ -374,6 +409,18 @@ class TestFringeModel:
         with pytest.raises(PhysicsError, match="offset"):
             FringeModel("noon-cosine", "noon", 6, O33, 0.3, 0.5, 1.0)
         assert noon_cosine_model(6).offset == 0.0
+
+    def test_slack_below_zero_is_stored_as_zero(self):
+        # An offset of -1e-10 once gave p = -1e-10 near the dark point of
+        # HB N = 6 at 2:4, and an infinite Fisher value there.
+        model = FringeModel("affine", "hb", 6, OutcomePattern(2, 4), 1.0, -1e-10)
+        assert (model.amplitude, model.offset) == (1.0, 0.0)
+        assert noon_cosine_model(6, amplitude=-5e-10).amplitude == 0.0
+        for phi in (0.0, 1e-7, np.array([0.0, 1e-7, 0.5])):
+            assert np.all(apply_model(model, phi) >= 0.0)
+            assert np.all(np.isfinite(single_fringe_fisher_model(model, phi)))
+        with pytest.raises(PhysicsError, match="amplitude >= 0"):
+            FringeModel("affine", "hb", 6, O33, 1.0, -2e-9)
 
     def test_noon_crest_above_unit_rejected(self):
         with pytest.raises(PhysicsError):

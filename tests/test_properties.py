@@ -22,10 +22,12 @@ from fringelab import (
     build_state,
     click_distribution,
     fringe_probabilities,
+    fringe_probability,
     hb_state,
     ideal_model,
     make_state,
     noon_cosine_model,
+    noon_state,
     output_amplitudes,
     single_fringe_fisher,
     single_fringe_fisher_model,
@@ -39,11 +41,12 @@ from fringelab.fringes import (
     _detection_kets,
     _generator_powers,
     _model_fringe,
+    _one_fringe,
     _probability_and_slope,
     _rotated,
 )
 
-from oracles import bs_matrix_row_loop, random_states
+from oracles import bs_matrix_row_loop, one_fringe_0d, random_states
 
 DETERMINISTIC = settings(derandomize=True, deadline=None, database=None)
 
@@ -209,10 +212,11 @@ def _binary_fisher_reference(p, rest, dp):
     return np.where(removable, 0.0, value)
 
 
-# Both sides of each cutoff, exact zeros, underflowing products and the
-# slightly negative values a fringe model's slack allows.
+# Both sides of each cutoff, exact zeros, underflowing products, the
+# slightly negative values a fringe model's slack allowed, and NaN, which
+# the array form's fmin passes over.
 _EDGE_PROBABILITIES = st.one_of(
-    st.sampled_from([0.0, -0.0, -1e-10, 1e-300, 1e-200, 0.5 * _P_TOL, _P_TOL, 2 * _P_TOL, 1.0]),
+    st.sampled_from([0.0, -0.0, -1e-10, math.nan, 1e-300, 1e-200, 0.5 * _P_TOL, _P_TOL, 2 * _P_TOL, 1.0]),
     st.floats(min_value=0.0, max_value=1.0),
 )
 _EDGE_SLOPES = st.one_of(
@@ -232,9 +236,63 @@ _EDGE_SLOPES = st.one_of(
 def test_binary_fisher_matches_the_errstate_form_bit_for_bit(terms):
     p, rest, dp = (np.array(column) for column in zip(*terms))
     assert _same_bits(_binary_fisher(p, rest, dp), _binary_fisher_reference(p, rest, dp))
-    # One phase: numpy scalars, as a fringe model gives them, and 0-d arrays.
-    for args in [(p[0], rest[0], dp[0]), (np.array(p[0]), np.array(rest[0]), np.array(dp[0]))]:
-        assert _same_bits(_binary_fisher(*args), _binary_fisher_reference(*args))
+    # One phase: Python floats, as the one-row kernel gives them, numpy
+    # scalars, as the noon-cosine model gives them, and 0-d arrays.
+    expected = _binary_fisher_reference(p[0], rest[0], dp[0])
+    for args in [
+        (float(p[0]), float(rest[0]), float(dp[0])),
+        (p[0], rest[0], dp[0]),
+        (np.array(p[0]), np.array(rest[0]), np.array(dp[0])),
+    ]:
+        assert _same_bits(_binary_fisher(*args), expected)
+
+
+# Signed zeros, the smallest subnormal (where h phi rounds to zero), the
+# extrema of the named states' fringes and a large phase, besides PHASES.
+_SCALAR_PHASES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 1e-300, math.pi / 2, math.pi, 2 * math.pi,
+         -2 * math.pi, 1e5]
+    ),
+    PHASES,
+    st.floats(min_value=-1e5, max_value=1e5),
+)
+
+
+@settings(DETERMINISTIC, max_examples=120)
+@given(
+    total=st.integers(min_value=0, max_value=512),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    phi=_SCALAR_PHASES,
+)
+def test_one_phase_kernel_matches_the_0d_form_bit_for_bit(total, seed, phi):
+    # A scalar phase takes Python floats through the kernel and the binary
+    # Fisher term; every value keeps the bits of the 0-d array form. The
+    # named states are exactly bright or dark at 0, pi and 2 pi, where the
+    # removable test decides the Fisher value.
+    rng = np.random.default_rng(seed)
+    amplitudes = random_states(total, 1, rng)[0]
+    signed_zeros = rng.random(total + 1)
+    amplitudes.imag[signed_zeros < 0.5] = -0.0
+    amplitudes[signed_zeros < 0.25] = complex(-0.0, -0.0)
+    states = [TwoModeState(total, amplitudes)]
+    if total > 0:
+        states.append(snl_state(total))
+    if total % 2 == 0 and total > 0:
+        states += [hb_state(total), noon_state(total)]
+    rows = sorted({0, 1, total // 2, total - 1, total} & set(range(total + 1)))
+    for state in states:
+        for row in rows:
+            outcome = OutcomePattern(row, total - row)
+            expected = one_fringe_0d(
+                state.amplitudes, beam_splitter_matrix(total)[row], phi, _P_TOL, _DP_TOL
+            )
+            got = _one_fringe(state, outcome, phi)
+            assert all(map(_same_bits, got, expected[:4])), (row, phi)
+            assert type(got[0]) is float and type(got[1]) is float
+            fisher = single_fringe_fisher(state, outcome, phi)
+            assert type(fisher) is float and _same_bits(fisher, expected[4]), (row, phi)
+            assert _same_bits(fringe_probability(state, outcome, phi), expected[0])
 
 
 @pytest.mark.parametrize("total", [200, 700, 1000])
